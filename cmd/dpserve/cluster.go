@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,9 +28,10 @@ import (
 // handleClusterQuery is the backend half of the scatter-gather
 // protocol: POST /v1/cluster/query asks for the partial answers of a
 // set of tiles for a batch of rectangles. It runs behind the same
-// admission limiter and request timeout as the rest of the API, and
+// admission limiter and request deadline as the rest of the API, and
 // checks ctx between tiles so a router that gave up on this backend
-// stops costing it CPU.
+// stops costing it CPU. Releases loaded with -mmap are unwrapped to
+// the sharded release underneath.
 func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -46,7 +48,7 @@ func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown synopsis %q", req.Synopsis))
 		return
 	}
-	router, ok := syn.(dpgrid.ShardRouter)
+	router, ok := unwrap(syn).(dpgrid.ShardRouter)
 	if !ok {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("synopsis %q is not sharded; cluster queries need a sharded release", req.Synopsis))
@@ -81,7 +83,7 @@ func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				writeError(w, http.StatusServiceUnavailable, "request cancelled: "+err.Error())
+				writeAbandoned(w, err)
 				return
 			}
 			parts[i] = append(parts[i], cluster.TilePartial{Tile: ti, Count: router.ShardAnswer(ti, rect)})
@@ -144,25 +146,16 @@ func newRouterServer(opts routerOptions) (*routerServer, error) {
 // handler returns the router HTTP API: the same /v1/query surface as a
 // backend (so clients need not know which they are talking to), plus
 // health, readiness, and metrics endpoints that bypass the request
-// timeout.
+// deadline.
 func (rs *routerServer) handler() http.Handler {
 	api := http.NewServeMux()
 	api.HandleFunc("/v1/query", rs.handleQuery)
-
-	var apiHandler http.Handler = api
-	if rs.requestTimeout > 0 {
-		inner := http.TimeoutHandler(apiHandler, rs.requestTimeout, `{"error":"request timed out"}`)
-		apiHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			inner.ServeHTTP(w, r)
-		})
-	}
 
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", rs.handleHealthz)
 	root.HandleFunc("/readyz", rs.handleHealthz) // placement validated at startup: ready == alive
 	root.HandleFunc("/metrics", rs.handleMetrics)
-	root.Handle("/v1/", apiHandler)
+	root.Handle("/v1/", withDeadline(rs.requestTimeout, api))
 	return root
 }
 
@@ -219,6 +212,9 @@ func (rs *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, cluster.ErrUnknownSynopsis):
 		rs.rejected.Inc()
 		writeError(w, http.StatusNotFound, err.Error())
+		return
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		writeAbandoned(w, err)
 		return
 	case errors.Is(err, cluster.ErrAllBackendsDown):
 		rs.failures.Inc()

@@ -21,6 +21,7 @@ import (
 
 	"github.com/dpgrid/dpgrid"
 	"github.com/dpgrid/dpgrid/internal/cluster"
+	"github.com/dpgrid/dpgrid/internal/faultinject"
 )
 
 // testClusterSharded builds a deterministic 3x2 AG mosaic (6 tiles)
@@ -305,6 +306,72 @@ func TestClusterRouterRejectsBadRequests(t *testing.T) {
 	}
 	if badRectIndex([][4]float64{{0, 0, math.NaN(), 1}}) != 0 {
 		t.Error("badRectIndex missed a NaN coordinate")
+	}
+}
+
+// TestRouterRequestTimeout: backends slowed past the router's
+// -request-timeout make a query answer the same JSON 503 "request timed
+// out" a backend gives, as soon as the deadline cuts the backend
+// attempts short — whether the rects need one backend or all three.
+// Attempts the deadline cut short are not the backends' fault, so even
+// a breaker that opens on the first failure stays closed.
+func TestRouterRequestTimeout(t *testing.T) {
+	const latency = time.Second
+	syn := testClusterSharded(t, 37)
+	var urls [3]string
+	for i := range urls {
+		px, err := faultinject.NewProxy(startClusterBackend(t, syn).URL, faultinject.Plan{Latency: latency}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(px.Transport.Close)
+		srv := httptest.NewServer(px)
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	rs, err := newRouterServer(routerOptions{
+		placementPath:  writeTestPlacement(t, urls),
+		requestTimeout: 50 * time.Millisecond,
+		backend:        cluster.Options{Timeout: 2 * latency, Retries: -1, ProbeInterval: -1, FailureThreshold: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerSrv := httptest.NewServer(rs.handler())
+	t.Cleanup(routerSrv.Close)
+
+	for _, rect := range [][4]float64{{5, 5, 10, 10}, {0, 0, 100, 100}} {
+		body, _ := json.Marshal(queryRequest{Synopsis: "checkins", Rects: [][4]float64{rect}})
+		start := time.Now()
+		resp, err := http.Post(routerSrv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed >= latency {
+			t.Errorf("rect %v: answered after %v, not cut short by the deadline", rect, elapsed)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("rect %v: status = %d, want 503: %s", rect, resp.StatusCode, raw)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("rect %v: 503 Content-Type = %q, want application/json", rect, ct)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error != "request timed out" {
+			t.Errorf("rect %v: body %s, want the JSON error \"request timed out\"", rect, raw)
+		}
+	}
+	for _, bs := range rs.router.BackendStatuses() {
+		if bs.State != cluster.BreakerClosed {
+			t.Errorf("backend %s: breaker %v after deadline-cut attempts, want closed", bs.Name, bs.State)
+		}
 	}
 }
 

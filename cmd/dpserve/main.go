@@ -52,17 +52,21 @@
 //	{"synopsis": "checkin", "rects": [[-123,45,-120,48], [-80,25,-79,26]]}
 //	-> {"synopsis": "checkin", "counts": [10234.1, 512.9]}
 //
-// Batches are fanned out across one worker per CPU (dpgrid.QueryBatch),
-// so a single large request saturates the machine. Repeated rectangles
-// are answered from a bounded LRU result cache (-cache-entries, 0
-// disables) whose answers are bit-identical to recomputation; the cache
-// is invalidated when PUT or DELETE changes what a name serves.
+// Each request runs start to finish on its connection's goroutine, so
+// one large batch uses one core and parallelism comes from concurrent
+// requests. Repeated rectangles are answered from a bounded LRU result
+// cache (-cache-entries, 0 disables) whose answers are bit-identical to
+// recomputation; the cache is invalidated when PUT or DELETE changes
+// what a name serves.
 //
 // Operational limits: -max-inflight rejects API requests beyond the
-// bound with 429 (health and metrics stay unthrottled), -request-timeout
-// bounds each API request, and SIGINT/SIGTERM trigger a graceful
-// shutdown that stops accepting connections and drains in-flight
-// requests for up to -drain-timeout.
+// bound with 429 (health and metrics stay unthrottled). -request-timeout
+// sets a deadline on each admitted API request; the handler checks it
+// before each rectangle, between shards, and in each backend attempt,
+// and a request past it gets a JSON 503 once the running rectangle
+// returns. SIGINT/SIGTERM trigger a graceful shutdown that stops
+// accepting connections and drains in-flight requests for up to
+// -drain-timeout.
 package main
 
 import (

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/dpgrid/dpgrid"
+	"github.com/dpgrid/dpgrid/internal/cluster"
 	"github.com/dpgrid/dpgrid/internal/codec"
 )
 
@@ -52,8 +53,15 @@ func stripSATTrailer(t *testing.T, data []byte) []byte {
 // re-parsed floats.
 func postQueryBody(t *testing.T, url string, req queryRequest) []byte {
 	t.Helper()
+	return postRawBody(t, url+"/v1/query", req)
+}
+
+// postRawBody POSTs req as JSON to url and returns the raw body of the
+// 200 response.
+func postRawBody(t *testing.T, url string, req any) []byte {
+	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +130,43 @@ func TestMmapSATServingEquivalence(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s response differs from sat/read:\n  %s\n  %s", key, got, want)
 		}
+	}
+}
+
+// TestMmapClusterQueryEquivalence: a sharded release loaded with -mmap
+// answers the backend half of cluster mode (/v1/cluster/query) with
+// partials byte-identical to the same file read onto the heap.
+func TestMmapClusterQueryEquivalence(t *testing.T) {
+	var buf bytes.Buffer
+	if err := dpgrid.WriteSynopsisBinary(&buf, testClusterSharded(t, 41)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sharded.dpgrid")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	req := cluster.ShardQueryRequest{
+		Synopsis: "checkins",
+		Tiles:    []int{0, 1, 2, 3, 4, 5},
+		Rects: [][4]float64{
+			{10, 10, 40, 40},
+			{0, 0, 100, 100},
+			{55.5, 1.25, 99, 63},
+			{33, 33, 33.001, 33.001},
+		},
+	}
+	var bodies [2][]byte
+	for i, mmap := range []bool{false, true} {
+		reg := newRegistry()
+		if err := reg.loadFile("checkins", path, mmap); err != nil {
+			t.Fatalf("mmap=%v: %v", mmap, err)
+		}
+		srv := newTestServer(t, reg)
+		bodies[i] = postRawBody(t, srv.URL+cluster.ShardQueryPath, req)
+	}
+	if !bytes.Equal(bodies[1], bodies[0]) {
+		t.Errorf("mmap partials differ from read:\n  %s\n  %s", bodies[1], bodies[0])
 	}
 }
 

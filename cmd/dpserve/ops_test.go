@@ -394,40 +394,46 @@ func TestMaxInflightRejects(t *testing.T) {
 // TestRequestTimeout: a query outliving -request-timeout is answered
 // with a JSON 503 — and its admission slot stays held until the work
 // actually finishes, so timed-out requests cannot pile unbounded
-// concurrent work behind -max-inflight.
+// concurrent work behind -max-inflight. The deadline is cooperative:
+// the batch's first rect blocks past it, and the 503 arrives when that
+// rect returns and the check before the second rect fires.
 func TestRequestTimeout(t *testing.T) {
+	const timeout = 30 * time.Millisecond
 	blk := &blockingSynopsis{started: make(chan struct{}, 1), release: make(chan struct{})}
 	reg := newRegistry()
 	reg.put("slow", blk)
 	dps := newDPServer(reg, serverOptions{
 		cacheEntries:   0,
 		maxInflight:    1,
-		requestTimeout: 30 * time.Millisecond,
+		requestTimeout: timeout,
 	})
 	srv := httptest.NewServer(dps.handler())
 	t.Cleanup(srv.Close)
 
-	body, _ := json.Marshal(queryRequest{Synopsis: "slow", Rects: [][4]float64{{0, 0, 1, 1}}})
-	resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		status      int
+		contentType string
+		body        []byte
+		err         error
 	}
-	defer resp.Body.Close()
+	first := make(chan result, 1)
+	body, _ := json.Marshal(queryRequest{Synopsis: "slow", Rects: [][4]float64{{0, 0, 1, 1}, {0, 0, 2, 2}}})
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			first <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		first <- result{resp.StatusCode, resp.Header.Get("Content-Type"), raw, err}
+	}()
 	<-blk.started
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 from the timeout handler", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("503 Content-Type = %q, want application/json", ct)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "timed out") {
-		t.Errorf("timeout body not a JSON error: %v, %+v", err, e)
-	}
+	// The deadline was set at admission, before the first rect started,
+	// so it has passed once this sleep ends; the rect is still blocked.
+	time.Sleep(timeout)
 
-	// The abandoned query is still computing, so its slot is still held:
+	// The timed-out query is still computing, so its slot is still held:
 	// a new request must be rejected, not admitted on top of it.
 	r2, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -435,11 +441,33 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("request during abandoned query = %d, want 429 (slot must stay held)", r2.StatusCode)
+		t.Fatalf("request during timed-out query = %d, want 429 (slot must stay held)", r2.StatusCode)
+	}
+	select {
+	case res := <-first:
+		t.Fatalf("answered (%d) while its first rect was still blocked", res.status)
+	default:
+	}
+
+	close(blk.release)
+	res := <-first
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.status != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 past the deadline: %s", res.status, res.body)
+	}
+	if !strings.HasPrefix(res.contentType, "application/json") {
+		t.Errorf("503 Content-Type = %q, want application/json", res.contentType)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(res.body, &e); err != nil || !strings.Contains(e.Error, "timed out") {
+		t.Errorf("timeout body not a JSON error: %v, %s", err, res.body)
 	}
 
 	// Once the work finishes the slot frees and traffic flows again.
-	close(blk.release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		r3, err := http.Get(srv.URL + "/v1/synopses")

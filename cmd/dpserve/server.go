@@ -16,7 +16,6 @@ import (
 	"github.com/dpgrid/dpgrid"
 	"github.com/dpgrid/dpgrid/internal/cache"
 	"github.com/dpgrid/dpgrid/internal/cluster"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // maxBodyBytes caps request bodies (a 1e6-rect batch is ~40 MB; synopsis
@@ -155,7 +154,7 @@ func infoFor(name string, s dpgrid.Synopsis) synopsisInfo {
 }
 
 // handler returns the dpserve HTTP API. The /v1 endpoints run behind
-// the admission limiter and the per-request timeout; /healthz and
+// the admission limiter and the per-request deadline; /healthz and
 // /metrics bypass both, so liveness probes and scrapes keep answering
 // while the API sheds load — exactly when visibility matters most.
 //
@@ -170,49 +169,23 @@ func (s *server) handler() http.Handler {
 	api.HandleFunc("/v1/query", s.handleQuery)
 	api.HandleFunc(cluster.ShardQueryPath, s.handleClusterQuery)
 
-	// The limiter sits INSIDE the timeout handler: an admission slot is
-	// released only when the handler's work actually finishes, not when
-	// TimeoutHandler abandons the response at the deadline (the worker
-	// goroutine keeps computing past a 503). Composed the other way,
-	// every timed-out request would free its slot while its query kept
-	// running, and -max-inflight would no longer bound concurrent work.
-	//
-	// Tradeoff: TimeoutHandler buffers each response in memory before
-	// forwarding it, so with the timeout on (the default), a huge batch
-	// response is built fully before the first byte hits the socket.
-	// Deployments that stream enormous batches and prefer the old
-	// direct-to-socket encoding can set -request-timeout 0.
-	var apiHandler http.Handler = s.limit(api)
-	if s.requestTimeout > 0 {
-		inner := http.TimeoutHandler(apiHandler, s.requestTimeout,
-			`{"error":"request timed out"}`)
-		apiHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// TimeoutHandler writes its 503 body with no Content-Type
-			// (Go would sniff text/plain); pre-setting the header keeps
-			// the timeout error JSON like every other API error. Safe
-			// for the success path too: every /v1 response is JSON.
-			w.Header().Set("Content-Type", "application/json")
-			inner.ServeHTTP(w, r)
-		})
-	}
-
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", s.handleHealthz)
 	root.HandleFunc("/readyz", s.handleReadyz)
 	root.HandleFunc("/metrics", s.met.handleMetrics)
-	root.Handle("/v1/", apiHandler)
+	root.Handle("/v1/", s.limit(withDeadline(s.requestTimeout, api)))
 	return root
 }
 
 // limit is the -max-inflight admission middleware: each API request
-// holds one slot until its work finishes (even if TimeoutHandler has
-// already answered 503 — see handler), and a request that cannot get a
-// slot immediately is rejected with 429 rather than queued — under
-// sustained overload a bounded queue only converts overload into
+// holds one slot until its handler returns, and a request that cannot
+// get a slot immediately is rejected with 429 rather than queued —
+// under sustained overload a bounded queue only converts overload into
 // latency, while a fast 429 lets well-behaved clients back off and
 // retry against a server that still has headroom for the traffic it
 // admitted. The in-flight gauge counts admitted requests even when the
-// limiter is off.
+// limiter is off. The request deadline starts only once a slot is
+// held (see handler).
 func (s *server) limit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.inflightSem != nil {
@@ -230,6 +203,25 @@ func (s *server) limit(next http.Handler) http.Handler {
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
 		next.ServeHTTP(w, r)
+	})
+}
+
+// withDeadline is the -request-timeout middleware of both the backend
+// and the router API: it bounds the request's context by d (0 means no
+// bound). The deadline is cooperative. The handler runs on the
+// connection's goroutine and checks its context before each rectangle,
+// between shards, and in each backend attempt, answering a request
+// that ran past it with a JSON 503 (see writeAbandoned). A single
+// rectangle's kernel call is never preempted, so an admission slot is
+// held until the work actually stops.
+func withDeadline(d time.Duration, next http.Handler) http.Handler {
+	if d <= 0 {
+		return next
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
 
@@ -348,11 +340,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	counts, st, err := s.answer(r.Context(), req.Synopsis, gen, syn, req.Rects)
 	if err != nil {
-		// The client abandoned the request (or TimeoutHandler hit the
-		// deadline) while the fan-out was still walking shards; nothing
-		// useful can be written, but answer the goroutine's writer anyway
-		// for programmatic callers.
-		writeError(w, http.StatusServiceUnavailable, "request cancelled: "+err.Error())
+		writeAbandoned(w, err)
 		return
 	}
 	// Record per-synopsis series only if the name still serves the same
@@ -398,18 +386,19 @@ type answerStats struct {
 	materialized int64 // lazy shards decoded on first touch
 }
 
-// answer resolves every rectangle, serving what it can from the answer
-// cache and computing the rest against the synopsis with the same
-// fan-out QueryBatch uses — so answers are bit-identical whether they
-// come from the cache, the cached path's miss computation, or a
-// cache-disabled server. Sharded synopses additionally report per-rect
-// routing stats, and honor ctx between shards: a request whose client
-// has gone away stops burning CPU (and, for lazy releases, stops
-// materializing tiles) mid-mosaic. A non-nil error means the batch was
-// abandoned; no partial results are cached.
+// answer resolves every rectangle on the calling goroutine, serving
+// what it can from the answer cache and computing the misses one by
+// one — bit-identical to a cache-disabled server and to QueryBatch,
+// whose fan-out runs the same per-rect Query. Parallelism comes from
+// concurrent requests, not from splitting one batch. ctx is checked
+// before each miss, and sharded synopses (and mapped releases) also
+// check it between shards and report per-rect routing stats, so a
+// request whose deadline passed or whose client went away stops
+// burning CPU (and, for lazy releases, stops materializing tiles). A
+// non-nil error means the batch was abandoned; no partial results are
+// cached.
 func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid.Synopsis, rects [][4]float64) ([]float64, answerStats, error) {
 	counts := make([]float64, len(rects))
-	grects := make([]dpgrid.Rect, len(rects))
 	miss := make([]int, 0, len(rects))
 	// With caching disabled, skip the per-rect key construction entirely
 	// and leave the hit/miss families untouched — an operator who set
@@ -419,12 +408,11 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 		keys = make([]cache.Key, len(rects))
 	}
 	for i, q := range rects {
-		r := dpgrid.NewRect(q[0], q[1], q[2], q[3])
-		grects[i] = r
 		if keys == nil {
 			miss = append(miss, i)
 			continue
 		}
+		r := dpgrid.NewRect(q[0], q[1], q[2], q[3])
 		keys[i] = cache.Key{
 			Synopsis: name, Gen: gen,
 			MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY,
@@ -441,48 +429,27 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 		misses: len(miss),
 	}
 
-	if ctxSyn, ok := syn.(dpgrid.ShardContextObserver); ok {
-		var mats atomic.Int64
-		var cancelled atomic.Bool
-		st.fanouts = make([]int, len(miss))
-		pool.For(len(miss), 0, func(j int) {
-			i := miss[j]
-			est, qs, err := ctxSyn.QueryStatsCtx(ctx, grects[i])
-			if err != nil {
-				cancelled.Store(true)
-				return
-			}
-			counts[i] = est
-			st.fanouts[j] = qs.Shards
-			mats.Add(int64(qs.Materialized))
-		})
-		if cancelled.Load() {
-			return nil, st, context.Cause(ctx)
+	ctxSyn, observed := syn.(dpgrid.ShardContextObserver)
+	if observed {
+		st.fanouts = make([]int, 0, len(miss))
+	}
+	for _, i := range miss {
+		if err := ctx.Err(); err != nil {
+			return nil, st, err
 		}
-		st.materialized = mats.Load()
-	} else if obsSyn, isSharded := syn.(dpgrid.ShardObserver); isSharded {
-		var mats atomic.Int64
-		st.fanouts = make([]int, len(miss))
-		pool.For(len(miss), 0, func(j int) {
-			i := miss[j]
-			est, qs := obsSyn.QueryStats(grects[i])
-			counts[i] = est
-			st.fanouts[j] = qs.Shards
-			mats.Add(int64(qs.Materialized))
-		})
-		st.materialized = mats.Load()
-	} else if len(miss) == len(rects) {
-		// No hits: hand the whole batch to the synopsis's own fan-out.
-		copy(counts, dpgrid.QueryBatch(syn, grects, 0))
-	} else {
-		missRects := make([]dpgrid.Rect, len(miss))
-		for j, i := range miss {
-			missRects[j] = grects[i]
+		q := rects[i]
+		r := dpgrid.NewRect(q[0], q[1], q[2], q[3])
+		if !observed {
+			counts[i] = syn.Query(r)
+			continue
 		}
-		vals := dpgrid.QueryBatch(syn, missRects, 0)
-		for j, i := range miss {
-			counts[i] = vals[j]
+		est, qs, err := ctxSyn.QueryStatsCtx(ctx, r)
+		if err != nil {
+			return nil, st, err
 		}
+		counts[i] = est
+		st.fanouts = append(st.fanouts, qs.Shards)
+		st.materialized += int64(qs.Materialized)
 	}
 	if keys != nil {
 		for _, i := range miss {
@@ -524,16 +491,23 @@ func readSynopsisBody(r *http.Request) (dpgrid.Synopsis, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil && !errors.Is(err, http.ErrHandlerTimeout) {
-		// ErrHandlerTimeout is the expected tail of every timed-out
-		// request: the worker finishes its query (holding its admission
-		// slot) and writes to the writer TimeoutHandler already answered
-		// on. Logging it would print one misleading "encoding" error per
-		// timeout.
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("dpserve: encoding response: %v", err)
 	}
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// writeAbandoned answers a request whose work stopped on its context:
+// past the -request-timeout deadline it is the JSON 503 "request timed
+// out"; otherwise the client went away (or a mapped synopsis was
+// closed) and the 503 names the cause for programmatic callers.
+func writeAbandoned(w http.ResponseWriter, err error) {
+	msg := "request cancelled: " + err.Error()
+	if errors.Is(err, context.DeadlineExceeded) {
+		msg = "request timed out"
+	}
+	writeError(w, http.StatusServiceUnavailable, msg)
 }

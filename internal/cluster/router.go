@@ -356,7 +356,9 @@ func gatherKey(rect, tile int) int64 { return int64(rect)<<32 | int64(tile) }
 // the result is bit-identical to a single node serving the whole
 // release. Only a tile whose every replica is down goes missing
 // (Partial=true); only a query that needed tiles and got none at all
-// back fails, with ErrAllBackendsDown.
+// back fails, with ErrAllBackendsDown. A query whose ctx ends while
+// tiles are still pending fails with ctx's error instead: the replicas
+// were not down, the caller stopped waiting.
 func (r *Router) Query(ctx context.Context, synopsis string, rects []geom.Rect) (*Result, error) {
 	st := r.state.Load()
 	rel, ok := st.placement.Release(synopsis)
@@ -402,6 +404,11 @@ func (r *Router) Query(ctx context.Context, synopsis string, rects []geom.Rect) 
 
 	pending := allTiles
 	for len(pending) > 0 {
+		// A round that starts past the caller's deadline could only fail
+		// every attempt.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		assign := make(map[int][]int) // backend index -> tiles this round
 		for _, ti := range pending {
 			reps := rel.Replicas(ti)
@@ -563,7 +570,11 @@ func (r *Router) attempt(ctx context.Context, be *backendRef, body []byte, numRe
 	start := time.Now()
 	fail := func() (*gather, bool) {
 		r.met.attempt(be.name, time.Since(start).Seconds(), true)
-		be.br.failure()
+		// An attempt cut short by the caller's deadline says nothing
+		// about the backend; only its own timeout or a bad answer does.
+		if ctx.Err() == nil {
+			be.br.failure()
+		}
 		return nil, true
 	}
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, be.url+ShardQueryPath, bytes.NewReader(body))
