@@ -30,8 +30,8 @@ func batchTestRects(n int, seed int64) []Rect {
 	return rects
 }
 
-// QueryBatch must agree exactly with Query for every synopsis method,
-// through both the native batch path and the generic fan-out.
+// QueryBatch must agree exactly with Query for every synopsis method
+// and worker count.
 func TestQueryBatchAllMethods(t *testing.T) {
 	pts, dom := batchTestData(t, 8000, 1)
 	rects := batchTestRects(200, 2)
@@ -71,18 +71,6 @@ func TestQueryBatchAllMethods(t *testing.T) {
 			}
 		}
 	}
-
-	// UG/AG/Hierarchy expose the native batch fast path.
-	for _, tc := range []struct {
-		name string
-		syn  Synopsis
-	}{
-		{"UG", ug}, {"AG", ag}, {"Hierarchy", hier},
-	} {
-		if _, ok := tc.syn.(BatchSynopsis); !ok {
-			t.Errorf("%s should implement BatchSynopsis", tc.name)
-		}
-	}
 }
 
 // Parallel construction through the public facade: same seed, same
@@ -115,7 +103,7 @@ func TestSynopsisFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ag.json")
+	path := filepath.Join(t.TempDir(), "ag.dpgrid")
 	if err := WriteSynopsisFile(path, ag); err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +111,16 @@ func TestSynopsisFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The file stores leaf counts and the reader re-derives prefix
-	// tables, so answers can differ in the last few ulps from a
-	// different summation order — but no more.
+	// The reader re-derives the level-1 totals from the cell tables, so
+	// answers can differ in the last few ulps from the builder's
+	// summation order — but no more.
 	for _, r := range batchTestRects(50, 7) {
 		a, b := got.Query(r), ag.Query(r)
 		if diff := math.Abs(a - b); diff > 1e-9*(1+math.Abs(b)) {
 			t.Fatalf("round-tripped synopsis answers %v, original %v", a, b)
 		}
 	}
-	if _, err := ReadSynopsisFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := ReadSynopsisFile(filepath.Join(t.TempDir(), "missing.dpgrid")); err == nil {
 		t.Fatal("reading a missing file should error")
 	}
 }

@@ -296,7 +296,7 @@ func BenchmarkQueryAGBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = syn.QueryBatch(rects)
+			_ = QueryBatch(syn, rects, 0)
 		}
 	})
 }
@@ -317,7 +317,7 @@ func BenchmarkQueryUGBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = syn.QueryBatch(rects)
+			_ = QueryBatch(syn, rects, 0)
 		}
 	})
 }
@@ -345,7 +345,7 @@ func BenchmarkSerializeAG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteSynopsis(io.Discard, syn); err != nil {
+		if err := WriteSynopsisBinary(io.Discard, syn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func BenchmarkQueryAGBatchMonoVsSharded(b *testing.B) {
 	}
 	b.Run("mono-m1=64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = mono.QueryBatch(rects)
+			_ = QueryBatch(mono, rects, 0)
 		}
 	})
 	for _, k := range []int{4, 8} {
@@ -407,7 +407,7 @@ func BenchmarkQueryAGBatchMonoVsSharded(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("sharded-%dx%d-m1=%d", k, k, 64/k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = sharded.QueryBatch(rects)
+				_ = QueryBatch(sharded, rects, 0)
 			}
 		})
 	}
@@ -425,7 +425,7 @@ func BenchmarkSerializeSharded(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteSynopsis(io.Discard, syn); err != nil {
+		if err := WriteSynopsisBinary(io.Discard, syn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,9 +433,8 @@ func BenchmarkSerializeSharded(b *testing.B) {
 
 // ---- synopsis codec benchmarks ----
 //
-// JSON vs dpgridv2 binary for a sharded manifest at matched cell
-// counts (the same release encoded both ways). The decode family is
-// the serving daemon's cold-start path; `lazy` measures what dpserve
+// Encode and decode of a sharded manifest. The decode family is the
+// serving daemon's cold-start path; `lazy` measures what dpserve
 // actually pays at startup now (validate everything, materialize
 // nothing), and `lazy-first-query` adds the first single-tile hit.
 // Each sub-benchmark reports the encoded size as file-bytes.
@@ -454,29 +453,18 @@ func benchShardedRelease(b *testing.B) *Sharded {
 	return syn
 }
 
-func benchShardedFiles(b *testing.B, syn *Sharded) (jsonData, binData []byte) {
+func benchShardedFile(b *testing.B, syn *Sharded) []byte {
 	b.Helper()
-	var jsonBuf, binBuf bytes.Buffer
-	if err := WriteSynopsis(&jsonBuf, syn); err != nil {
+	var buf bytes.Buffer
+	if err := WriteSynopsisBinary(&buf, syn); err != nil {
 		b.Fatal(err)
 	}
-	if err := WriteSynopsisBinary(&binBuf, syn); err != nil {
-		b.Fatal(err)
-	}
-	return jsonBuf.Bytes(), binBuf.Bytes()
+	return buf.Bytes()
 }
 
 func BenchmarkEncodeSharded(b *testing.B) {
 	syn := benchShardedRelease(b)
-	jsonData, binData := benchShardedFiles(b, syn)
-	b.Run("json", func(b *testing.B) {
-		b.ReportMetric(float64(len(jsonData)), "file-bytes")
-		for i := 0; i < b.N; i++ {
-			if err := WriteSynopsis(io.Discard, syn); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	binData := benchShardedFile(b, syn)
 	b.Run("binary", func(b *testing.B) {
 		b.ReportMetric(float64(len(binData)), "file-bytes")
 		for i := 0; i < b.N; i++ {
@@ -488,16 +476,8 @@ func BenchmarkEncodeSharded(b *testing.B) {
 }
 
 func BenchmarkDecodeSharded(b *testing.B) {
-	jsonData, binData := benchShardedFiles(b, benchShardedRelease(b))
+	binData := benchShardedFile(b, benchShardedRelease(b))
 	firstTile := NewRect(1, 1, 20, 20)
-	b.Run("json", func(b *testing.B) {
-		b.ReportMetric(float64(len(jsonData)), "file-bytes")
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadSynopsis(bytes.NewReader(jsonData)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary-eager", func(b *testing.B) {
 		b.ReportMetric(float64(len(binData)), "file-bytes")
 		for i := 0; i < b.N; i++ {

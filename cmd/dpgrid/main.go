@@ -12,11 +12,16 @@
 //	       -queries queries.csv
 //
 //	# Build and save a geo-sharded 4x4 release (each tile spends the
-//	# full epsilon via parallel composition over disjoint tiles).
-//	# -format binary writes the compact dpgridv2 container, which
-//	# dpserve loads lazily, shard by shard:
+//	# full epsilon via parallel composition over disjoint tiles). The
+//	# file is a dpgridv2 container, which dpserve loads lazily, shard
+//	# by shard:
 //	dpgrid -in points.csv -domain="0,0,100,100" -method ag -eps 1 \
-//	       -shards 4x4 -format binary -save mosaic.dpgrid
+//	       -shards 4x4 -save mosaic.dpgrid
+//
+// Saved synopses use the dpgridv2 binary container, the only synopsis
+// format; -format exists for scripts that name it and accepts only
+// "binary". JSON synopsis files written by earlier releases are
+// rejected by -load with the conversion command to run.
 //
 // ug/ag builds stream the CSV through the parallel ingestion engine
 // (-workers bounds the goroutines, default one per CPU); for a fixed
@@ -64,8 +69,8 @@ func run(args []string, w io.Writer) error {
 	queryFlag := fs.String("query", "", "single query rectangle x0,y0,x1,y1")
 	queriesFile := fs.String("queries", "", "file of query rectangles, one x0,y0,x1,y1 per line")
 	saveFile := fs.String("save", "", "write the built synopsis (any method) to this file for later -load")
-	saveFormat := fs.String("format", dpgrid.FormatJSON, "-save encoding: json (readable) or binary (compact dpgridv2; loads lazily in dpserve when sharded)")
-	loadFile := fs.String("load", "", "load a previously saved synopsis instead of building one (either encoding, sniffed)")
+	saveFormat := fs.String("format", dpgrid.FormatBinary, "-save encoding; dpgridv2 binary is the only synopsis format, so the only accepted value is binary")
+	loadFile := fs.String("load", "", "load a previously saved synopsis instead of building one")
 	synthesize := fs.Int("synthesize", 0, "sample this many synthetic points from the synopsis as CSV on stdout (-1 = synopsis's own size estimate)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,8 +87,8 @@ func run(args []string, w io.Writer) error {
 	if *queryFlag == "" && *queriesFile == "" && *saveFile == "" && *synthesize == 0 {
 		return fmt.Errorf("need -query, -queries, -save, or -synthesize")
 	}
-	if *saveFormat != dpgrid.FormatJSON && *saveFormat != dpgrid.FormatBinary {
-		return fmt.Errorf("bad -format %q: want %s or %s", *saveFormat, dpgrid.FormatJSON, dpgrid.FormatBinary)
+	if *saveFormat != dpgrid.FormatBinary {
+		return fmt.Errorf("bad -format %q: want %s (JSON synopsis files are no longer written)", *saveFormat, dpgrid.FormatBinary)
 	}
 
 	// Parse the query workload up front: bad specs fail before the
@@ -216,7 +221,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *saveFile != "" {
-		if err := dpgrid.WriteSynopsisFileFormat(*saveFile, syn, *saveFormat); err != nil {
+		if err := dpgrid.WriteSynopsisFile(*saveFile, syn); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/datasets"
 	"github.com/dpgrid/dpgrid/internal/geom"
 )
@@ -103,7 +105,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunSaveAndLoad(t *testing.T) {
 	csv := writeTestCSV(t, 10000)
-	synFile := filepath.Join(t.TempDir(), "synopsis.json")
+	synFile := filepath.Join(t.TempDir(), "synopsis.dpgrid")
 
 	// Build once, save, and answer a query in the same invocation.
 	var sb strings.Builder
@@ -115,6 +117,9 @@ func TestRunSaveAndLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := sb.String()
+	if data, err := os.ReadFile(synFile); err != nil || !codec.Detect(data) {
+		t.Fatalf("default -save did not write a dpgridv2 container (err %v)", err)
+	}
 
 	// Load the saved synopsis (no raw data) and ask the same query: the
 	// answer must be identical.
@@ -130,7 +135,7 @@ func TestRunSaveAndLoad(t *testing.T) {
 
 func TestRunSaveOnly(t *testing.T) {
 	csv := writeTestCSV(t, 1000)
-	synFile := filepath.Join(t.TempDir(), "syn.json")
+	synFile := filepath.Join(t.TempDir(), "syn.dpgrid")
 	var sb strings.Builder
 	err := run([]string{
 		"-in", csv, "-domain", "0,0,100,100", "-method", "ug",
@@ -147,7 +152,7 @@ func TestRunSaveOnly(t *testing.T) {
 func TestRunLoadAndInExclusive(t *testing.T) {
 	csv := writeTestCSV(t, 10)
 	var sb strings.Builder
-	err := run([]string{"-in", csv, "-load", "x.json", "-query", "0,0,1,1"}, &sb)
+	err := run([]string{"-in", csv, "-load", "x.dpgrid", "-query", "0,0,1,1"}, &sb)
 	if err == nil {
 		t.Error("-in with -load accepted")
 	}
@@ -209,7 +214,7 @@ func TestParseFloats(t *testing.T) {
 // saves, reloads, and answers queries like any other synopsis.
 func TestRunShardedSaveLoadQuery(t *testing.T) {
 	csv := writeTestCSV(t, 20000)
-	saved := filepath.Join(t.TempDir(), "mosaic.json")
+	saved := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	var sb strings.Builder
 	err := run([]string{
 		"-in", csv, "-domain", "0,0,100,100", "-method", "ag",
@@ -244,7 +249,7 @@ func TestRunShardsValidation(t *testing.T) {
 }
 
 // TestRunSaveBinaryAndLoad: -format binary writes a dpgridv2 file that
-// -load reads back (sniffed) with identical answers.
+// -load reads back with identical answers.
 func TestRunSaveBinaryAndLoad(t *testing.T) {
 	csv := writeTestCSV(t, 10000)
 	for _, shards := range []string{"", "2x2"} {
@@ -281,14 +286,36 @@ func TestRunSaveBinaryAndLoad(t *testing.T) {
 	}
 }
 
+// TestRunBadFormat: -format accepts only binary — json, which earlier
+// releases wrote, included — and fails before building or saving.
 func TestRunBadFormat(t *testing.T) {
 	csv := writeTestCSV(t, 100)
-	err := run([]string{
-		"-in", csv, "-domain", "0,0,100,100", "-method", "ug",
-		"-eps", "1", "-format", "yaml", "-save", filepath.Join(t.TempDir(), "x"),
-	}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-format") {
-		t.Fatalf("bad -format: err = %v", err)
+	for _, format := range []string{"yaml", "json"} {
+		out := filepath.Join(t.TempDir(), "x")
+		err := run([]string{
+			"-in", csv, "-domain", "0,0,100,100", "-method", "ug",
+			"-eps", "1", "-format", format, "-save", out,
+		}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-format") {
+			t.Fatalf("-format %s: err = %v", format, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-format %s: a file was saved anyway (stat err %v)", format, err)
+		}
+	}
+}
+
+// TestRunLoadRejectsJSON: a JSON synopsis file from an earlier release
+// fails -load with the retirement error, which names the conversion.
+func TestRunLoadRejectsJSON(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "old.json")
+	doc := `{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[3]}`
+	if err := os.WriteFile(old, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-load", old, "-query", "0,0,1,1"}, io.Discard)
+	if !errors.Is(err, codec.ErrJSONRetired) || !strings.Contains(err.Error(), "-format binary") {
+		t.Fatalf("-load of a JSON file: err = %v, want the JSON retirement error", err)
 	}
 }
 

@@ -41,9 +41,10 @@
 // same registry: a sharded manifest loads as one named synopsis whose
 // queries fan out to only the overlapping shards, so a single daemon
 // can serve domains far beyond the monolithic cell cap. Synopsis files
-// may be JSON or binary (dpgridv2) — the format is sniffed — and a
-// binary sharded manifest loads lazily: every shard is validated at
-// load, but decoded only when a query first touches its tile.
+// are dpgridv2 containers (JSON files from earlier releases are
+// rejected with the conversion command), and a sharded manifest loads
+// lazily: every shard is validated at load, but decoded only when a
+// query first touches its tile.
 //
 // A query request names a synopsis and carries rectangles as
 // [minX, minY, maxX, maxY] quadruples; the response returns one estimate

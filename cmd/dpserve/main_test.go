@@ -3,16 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/dpgrid/dpgrid"
+	"github.com/dpgrid/dpgrid/internal/codec"
 )
 
 func testSynopsis(t testing.TB, seed int64) *dpgrid.AdaptiveGrid {
@@ -169,7 +172,7 @@ func TestQueryBadBody(t *testing.T) {
 func TestPutSynopsisRoundTrip(t *testing.T) {
 	syn := testSynopsis(t, 5)
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
+	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
@@ -200,7 +203,7 @@ func TestPutSynopsisRoundTrip(t *testing.T) {
 
 func TestRegistryLoadFile(t *testing.T) {
 	syn := testSynopsis(t, 6)
-	path := filepath.Join(t.TempDir(), "syn.json")
+	path := filepath.Join(t.TempDir(), "syn.dpgrid")
 	if err := dpgrid.WriteSynopsisFile(path, syn); err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +214,19 @@ func TestRegistryLoadFile(t *testing.T) {
 	if _, _, ok := reg.get("disk"); !ok {
 		t.Fatal("loadFile did not register the synopsis")
 	}
-	if err := reg.loadFile("missing", filepath.Join(t.TempDir(), "absent.json"), false); err == nil {
+	if err := reg.loadFile("missing", filepath.Join(t.TempDir(), "absent.dpgrid"), false); err == nil {
 		t.Fatal("loading a missing file should error")
 	}
 }
 
 func TestSynopsisFlagValidation(t *testing.T) {
 	var f synopsisFlags
-	for _, bad := range []string{"noequals", "=path.json", "name="} {
+	for _, bad := range []string{"noequals", "=path.dpgrid", "name="} {
 		if err := f.Set(bad); err == nil {
 			t.Fatalf("want error for -synopsis %q", bad)
 		}
 	}
-	if err := f.Set("a=b.json"); err != nil {
+	if err := f.Set("a=b.dpgrid"); err != nil {
 		t.Fatal(err)
 	}
 	if len(f) != 1 {
@@ -234,7 +237,7 @@ func TestSynopsisFlagValidation(t *testing.T) {
 func TestReadonlyBlocksPut(t *testing.T) {
 	syn := testSynopsis(t, 8)
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
+	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
@@ -296,7 +299,7 @@ func testShardedSynopsis(t testing.TB, seed int64) *dpgrid.Sharded {
 // queries identically to the in-memory release.
 func TestShardedServingEndToEnd(t *testing.T) {
 	syn := testShardedSynopsis(t, 21)
-	path := filepath.Join(t.TempDir(), "mosaic.json")
+	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	if err := dpgrid.WriteSynopsisFile(path, syn); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +354,7 @@ func TestShardedServingEndToEnd(t *testing.T) {
 func TestShardedUploadViaPut(t *testing.T) {
 	syn := testShardedSynopsis(t, 22)
 	var buf bytes.Buffer
-	if err := dpgrid.WriteSynopsis(&buf, syn); err != nil {
+	if err := dpgrid.WriteSynopsisBinary(&buf, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
@@ -372,8 +375,47 @@ func TestShardedUploadViaPut(t *testing.T) {
 	if !ok {
 		t.Fatal("sharded synopsis not registered after PUT")
 	}
-	if _, ok := got.(*dpgrid.Sharded); !ok {
-		t.Fatalf("registered type %T, want *dpgrid.Sharded", got)
+	// Uploaded manifests load lazily, like -synopsis files.
+	if _, ok := got.(*dpgrid.LazySharded); !ok {
+		t.Fatalf("registered type %T, want *dpgrid.LazySharded", got)
+	}
+}
+
+// jsonEraSynopsis is a UG file in the JSON encoding earlier releases
+// wrote.
+const jsonEraSynopsis = `{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[3]}`
+
+// TestJSONSynopsisRejected: a JSON-era synopsis file fails startup
+// (plain and -mmap) with the retirement error, and a JSON upload is a
+// 400 that names the conversion and moves the decode-error counter.
+func TestJSONSynopsisRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(jsonEraSynopsis), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []string{"-mmap=false", "-mmap=true"} {
+		err := run([]string{"-listen", "127.0.0.1:0", mmap, "-synopsis", "old=" + path})
+		if !errors.Is(err, codec.ErrJSONRetired) {
+			t.Errorf("%s: startup err = %v, want the JSON retirement error", mmap, err)
+		}
+	}
+
+	srv := newTestServer(t, newRegistry())
+	put, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/synopses/x", strings.NewReader(jsonEraSynopsis))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "-format binary") {
+		t.Fatalf("JSON PUT: status %d, body %s; want 400 naming the conversion", resp.StatusCode, body)
+	}
+	if got := scrapeMetrics(t, srv.URL)["dpserve_decode_errors_total"]; got != 1 {
+		t.Errorf("dpserve_decode_errors_total = %g, want 1", got)
 	}
 }
 
@@ -577,7 +619,7 @@ func TestLoadSynopsesLoadsAll(t *testing.T) {
 func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 	syn := testShardedSynopsis(t, 42) // 2x2 mosaic over [0,100]^2
 	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
-	if err := dpgrid.WriteSynopsisFileFormat(path, syn, dpgrid.FormatBinary); err != nil {
+	if err := dpgrid.WriteSynopsisFile(path, syn); err != nil {
 		t.Fatal(err)
 	}
 	reg := newRegistry()
@@ -640,8 +682,8 @@ func TestRegistryLoadsShardedManifestLazily(t *testing.T) {
 	}
 }
 
-// TestPutBinarySynopsis: the PUT endpoint accepts the binary encoding
-// through the same format sniff as files.
+// TestPutBinarySynopsis: the PUT endpoint accepts the same dpgridv2
+// containers as files.
 func TestPutBinarySynopsis(t *testing.T) {
 	syn := testSynopsis(t, 43)
 	var buf bytes.Buffer

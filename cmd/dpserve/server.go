@@ -429,7 +429,7 @@ func (s *server) answer(ctx context.Context, name string, gen uint64, syn dpgrid
 		misses: len(miss),
 	}
 
-	ctxSyn, observed := syn.(dpgrid.ShardContextObserver)
+	ctxSyn, observed := syn.(dpgrid.ShardObserver)
 	if observed {
 		st.fanouts = make([]int, 0, len(miss))
 	}
@@ -478,10 +478,9 @@ func badRectIndex(rects [][4]float64) int {
 	return -1
 }
 
-// readSynopsisBody parses an uploaded synopsis in either encoding
-// (sniffed). Binary sharded manifests load lazily: the upload is fully
-// validated, but per-shard decode cost is deferred to the first query
-// touching each tile.
+// readSynopsisBody parses an uploaded dpgridv2 synopsis. Sharded
+// manifests load lazily: the upload is fully validated, but per-shard
+// decode cost is deferred to the first query touching each tile.
 func readSynopsisBody(r *http.Request) (dpgrid.Synopsis, error) {
 	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	defer io.Copy(io.Discard, body)

@@ -53,12 +53,13 @@
 //
 // # Serialization
 //
-// Releases serialize in two interchangeable encodings carrying the same
-// artifact: versioned JSON and the compact dpgridv2 binary container
-// (see WriteSynopsisFormat and docs/FORMAT.md). ReadSynopsis sniffs the
-// encoding from the leading bytes; file writes are atomic. Binary
-// sharded manifests additionally support lazy, shard-by-shard loading
-// via ReadSynopsisLazy.
+// Releases serialize as the compact dpgridv2 binary container, the one
+// synopsis format (see WriteSynopsisBinary and docs/FORMAT.md); file
+// writes are atomic. Sharded manifests additionally support lazy,
+// shard-by-shard loading via ReadSynopsisLazy, and MapSynopsisFile
+// serves a file straight from a memory mapping. JSON synopsis files
+// written by earlier releases are rejected with an error naming the
+// conversion command.
 //
 // # Scaling out
 //

@@ -65,29 +65,17 @@ type Synopsis interface {
 	Query(r Rect) float64
 }
 
-// BatchSynopsis is a Synopsis that also answers batches directly.
-// Every released synopsis type (UniformGrid, AdaptiveGrid, Hierarchy,
-// KDTree, Privlet, Sharded, LazySharded) implements it; today their
-// QueryBatch methods and the generic fan-out below do the same work
-// (pool.Map over Query), but the interface leaves room for synopsis
-// types whose batch path is genuinely smarter (e.g. sorting queries for
-// locality).
-type BatchSynopsis interface {
-	Synopsis
-	// QueryBatch answers every rectangle, in input order, fanned out
-	// across one worker per CPU.
-	QueryBatch(rs []Rect) []float64
-}
-
 // QueryBatch answers every rectangle in rs against s and returns the
-// estimates in input order, fanned out across a worker pool — safe for
-// any Synopsis in this package because released synopses are immutable.
-// workers < 1 means one worker per CPU and delegates to the synopsis's
-// own QueryBatch when it implements BatchSynopsis; an explicit workers
-// count always uses the generic fan-out with that bound.
+// estimates in input order, fanned out across a worker pool (workers <
+// 1 means one worker per CPU) — safe for any Synopsis in this package
+// because released synopses are immutable. It is the one batch path
+// for every synopsis kind; each answer is bit-identical to s.Query.
+// A closed *MappedSynopsis panics here, on the calling goroutine,
+// before any worker starts.
 func QueryBatch(s Synopsis, rs []Rect, workers int) []float64 {
-	if b, ok := s.(BatchSynopsis); ok && workers < 1 {
-		return b.QueryBatch(rs)
+	if m, ok := s.(*MappedSynopsis); ok {
+		m.checkOpen()
+		s = m.inner
 	}
 	return pool.Map(rs, workers, s.Query)
 }

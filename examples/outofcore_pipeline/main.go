@@ -10,7 +10,7 @@
 //  2. The data holder streams it — never loading it into memory — into
 //     an AG synopsis under eps-DP (one fused scan when the dataset fits
 //     AGOptions.IndexLimit, two to three bounded-memory scans past it).
-//  3. The synopsis is saved to a small JSON file. The raw data can now
+//  3. The synopsis is saved to a small dpgridv2 file. The raw data can now
 //     be deleted or locked away; the privacy budget is spent.
 //  4. An analyst later loads the synopsis and answers arbitrary range
 //     queries with no access to the raw data and no further privacy cost.
@@ -65,11 +65,8 @@ func main() {
 		syn.M1(), syn.LeafCells(), eps)
 
 	// Step 3: persist the release.
-	synPath := filepath.Join(workDir, "synopsis.json")
-	err = atomicfile.Write(synPath, func(w io.Writer) error {
-		return dpgrid.WriteSynopsis(w, syn)
-	})
-	if err != nil {
+	synPath := filepath.Join(workDir, "synopsis.dpgrid")
+	if err := dpgrid.WriteSynopsisFile(synPath, syn); err != nil {
 		log.Fatal(err)
 	}
 	sInfo, _ := os.Stat(synPath)

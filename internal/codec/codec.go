@@ -2,10 +2,10 @@
 // by every release kind: the "dpgridv2" format. A container is the magic
 // string, a little-endian uint16 version and kind, and a kind-specific
 // body built from fixed-width little-endian fields and length-prefixed
-// float64 sections. Compared to the JSON release files, the binary form
-// is a fraction of the size (8 bytes per count instead of a decimal
-// rendering) and decodes by copying, not parsing — which is what lets a
-// serving daemon load a sharded mosaic lazily, shard by shard.
+// float64 sections. It is the only synopsis encoding: 8 bytes per count,
+// decoded by copying rather than parsing — which is what lets a serving
+// daemon load a sharded mosaic lazily, shard by shard, or answer
+// straight from a memory-mapped file.
 //
 // The package deliberately knows nothing about synopses; it provides the
 // container framing (Detect, NewEnc, NewDec) and truncation-safe
@@ -14,14 +14,14 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Magic is the 8-byte prefix of every binary synopsis container. JSON
-// release files start with '{', so the first byte alone separates the
-// two formats; the full string keeps accidental collisions implausible.
+// Magic is the 8-byte prefix of every binary synopsis container.
 const Magic = "dpgridv2"
 
 // Version is the current container layout version, bumped on breaking
@@ -64,11 +64,23 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
 
-// Detect reports whether data begins with the dpgridv2 magic — the
-// format sniff that keeps ReadSynopsis backward compatible with the
-// JSON files already on disk.
+// ErrJSONRetired is NewDec's error for a JSON synopsis file (one whose
+// first non-space byte is '{'): the JSON encoding earlier dpgrid
+// releases wrote is no longer read, and the message names the one-line
+// conversion those releases can run.
+var ErrJSONRetired = errors.New("JSON synopsis files are no longer supported; dpgridv2 is the only synopsis format. " +
+	"Convert with a dpgrid release that still reads JSON: dpgrid -load old.json -format binary -save new.dpgrid")
+
+// Detect reports whether data begins with the dpgridv2 magic.
 func Detect(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
+}
+
+// isJSON reports whether data looks like a JSON document: its first
+// non-whitespace byte opens an object.
+func isJSON(data []byte) bool {
+	data = bytes.TrimLeft(data, " \t\r\n")
+	return len(data) > 0 && data[0] == '{'
 }
 
 // Enc builds a container by appending little-endian fields to a byte
@@ -130,6 +142,9 @@ type Dec struct {
 // positioned at the start of the kind-specific body, plus the kind.
 func NewDec(data []byte) (*Dec, Kind, error) {
 	if !Detect(data) {
+		if isJSON(data) {
+			return nil, KindInvalid, fmt.Errorf("codec: %w", ErrJSONRetired)
+		}
 		return nil, KindInvalid, fmt.Errorf("codec: not a %s container", Magic)
 	}
 	d := &Dec{data: data, off: len(Magic)}

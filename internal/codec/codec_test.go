@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -34,6 +35,18 @@ func TestDetectRejectsJSONAndShort(t *testing.T) {
 	for _, data := range [][]byte{nil, []byte("{"), []byte(`{"format":"dpgrid/uniform-grid"}`), []byte("dpgridv"), []byte("DPGRIDV2")} {
 		if Detect(data) {
 			t.Errorf("Detect(%q) = true", data)
+		}
+	}
+	// JSON documents get the retirement error, naming the conversion;
+	// anything else non-binary stays a plain framing error.
+	for _, data := range [][]byte{[]byte("{"), []byte(" \n{\"format\":\"dpgrid/uniform-grid\"}")} {
+		if _, _, err := NewDec(data); !errors.Is(err, ErrJSONRetired) || !strings.Contains(err.Error(), "-format binary") {
+			t.Errorf("NewDec(%q) = %v, want ErrJSONRetired", data, err)
+		}
+	}
+	for _, data := range [][]byte{nil, []byte("dpgridv"), []byte("[1,2]")} {
+		if _, _, err := NewDec(data); err == nil || errors.Is(err, ErrJSONRetired) {
+			t.Errorf("NewDec(%q) = %v, want a non-JSON framing error", data, err)
 		}
 	}
 }

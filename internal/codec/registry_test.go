@@ -35,9 +35,6 @@ func TestRegisterRejectsBadRegistrations(t *testing.T) {
 		"nil decoder":    {Kind: Kind(200), Name: "x"},
 		"duplicate kind": {Kind: KindUniform, Name: "x", DecodeBinary: stub},
 		"duplicate name": {Kind: Kind(200), Name: "sharded", DecodeBinary: stub},
-		"format, no decodeJSON": {
-			Kind: Kind(200), Name: "x", DecodeBinary: stub, JSONFormat: "dpgrid/x",
-		},
 	}
 	for name, reg := range cases {
 		func() {
@@ -55,9 +52,7 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 	reg := Registration{
 		Kind:         Kind(210),
 		Name:         "lookup-test",
-		JSONFormat:   "dpgrid/lookup-test",
 		DecodeBinary: func(data []byte) (Synopsis, error) { return nil, nil },
-		DecodeJSON:   func(data []byte) (Synopsis, error) { return nil, nil },
 	}
 	Register(reg)
 	if got, ok := Lookup(Kind(210)); !ok || got.Name != "lookup-test" {
@@ -65,9 +60,6 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 	}
 	if got, ok := LookupName("lookup-test"); !ok || got.Kind != Kind(210) {
 		t.Fatalf("LookupName = %+v, %v", got, ok)
-	}
-	if got, ok := LookupJSONFormat("dpgrid/lookup-test"); !ok || got.Kind != Kind(210) {
-		t.Fatalf("LookupJSONFormat = %+v, %v", got, ok)
 	}
 	if _, ok := Lookup(Kind(211)); ok {
 		t.Fatal("Lookup found an unregistered kind")
@@ -89,10 +81,7 @@ func TestLookupByKindNameAndFormat(t *testing.T) {
 func TestEmbeddable(t *testing.T) {
 	stub := func(data []byte) (Synopsis, error) { return nil, nil }
 	val := func(data []byte) (Info, error) { return Info{}, nil }
-	full := Registration{
-		Name: "x", DecodeBinary: stub, DecodeJSON: stub,
-		JSONFormat: "dpgrid/x", Validate: val,
-	}
+	full := Registration{Name: "x", DecodeBinary: stub, Validate: val}
 	if !full.Embeddable() {
 		t.Error("fully equipped registration not embeddable")
 	}

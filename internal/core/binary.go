@@ -8,11 +8,15 @@ import (
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
-// Binary (dpgridv2) serialization of UG and AG synopses — the compact
-// companion to the JSON format in serialize.go. Both formats carry the
-// same release (cell boundaries and noisy counts), so the choice is
-// pure engineering: binary files are a fraction of the size and decode
-// by copying instead of parsing decimal text.
+// Serialization of UG and AG synopses. A synopsis is the publishable
+// artifact of the whole pipeline (the paper's definition: "the
+// boundaries of these cells and their noisy counts"), so it must
+// survive a round trip to disk: the data holder builds and saves once;
+// analysts load and query forever after without the raw data. The
+// encoding is the dpgridv2 container (internal/codec); loading
+// validates every structural invariant (dimensions vs. payload
+// lengths, finite counts, valid domain) so a corrupted or hand-edited
+// file fails loudly instead of answering garbage.
 //
 // Layouts (after the codec container header; all little endian):
 //
@@ -28,8 +32,8 @@ import (
 // the table is the synopsis's exact in-memory query structure, so
 // encode/decode never recompute sums — round trips are bit-identical
 // and decoding is an allocation plus a copy, with no O(cells) prefix
-// rebuild. (Deriving leaves from sums and re-summing on load, as the
-// JSON format does, loses bit-identity to float rounding.)
+// rebuild. (Storing leaves and re-summing on load would lose
+// bit-identity to float rounding.)
 //
 // The SAT trailer (codec.SATTag + a length-prefixed f64 section) is the
 // top-level summed-area table: for UG the (mx+1)*(my+1) prefix sums of
@@ -52,31 +56,23 @@ import (
 type BinaryInfo = codec.Info
 
 // init announces the UG and AG codecs to the kind registry; every
-// serialization layer (container sniffing, sharded-manifest embedding,
+// serialization layer (container reading, sharded-manifest embedding,
 // dpserve loading) dispatches through it.
 func init() {
 	codec.Register(codec.Registration{
-		Kind:       codec.KindUniform,
-		Name:       "uniform-grid",
-		JSONFormat: FormatUG,
+		Kind: codec.KindUniform,
+		Name: "uniform-grid",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseUniformGridBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseUniformGrid(data)
 		},
 		DecodeBinaryView: ParseUniformGridBinaryView,
 		Validate:         ValidateUniformGridBinary,
 	})
 	codec.Register(codec.Registration{
-		Kind:       codec.KindAdaptive,
-		Name:       "adaptive-grid",
-		JSONFormat: FormatAG,
+		Kind: codec.KindAdaptive,
+		Name: "adaptive-grid",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseAdaptiveGridBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseAdaptiveGrid(data)
 		},
 		DecodeBinaryView: ParseAdaptiveGridBinaryView,
 		Validate:         ValidateAdaptiveGridBinary,
@@ -546,7 +542,8 @@ func ParseAdaptiveGridBinaryView(data []byte) (codec.Synopsis, error) {
 // decodeF64s materializes a raw float64 section.
 func decodeF64s(raw []byte) []float64 { return codec.DecodeF64s(raw) }
 
-// checkFiniteRaw is checkFinite over an undecoded float64 section.
+// checkFiniteRaw rejects NaN/Inf entries of an undecoded float64
+// section.
 func checkFiniteRaw(raw []byte) error { return codec.CheckFiniteRaw(raw) }
 
 // checkSumsRaw validates an undecoded (m2+1)^2 prefix-sum table: every

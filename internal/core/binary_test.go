@@ -66,8 +66,7 @@ func TestUGBinaryRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestAGBinaryRoundTripBitIdentical: the AG container persists each
-// cell's prefix-sum table, so the round trip is bit-exact — unlike the
-// JSON format, which re-derives leaves and re-sums.
+// cell's prefix-sum table, so the round trip is bit-exact.
 func TestAGBinaryRoundTripBitIdentical(t *testing.T) {
 	orig := testAG(t)
 	data, err := orig.AppendBinary(nil)
@@ -90,8 +89,7 @@ func TestAGBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 	// Query equality is tolerance-level, not bit-level: the decoder
 	// re-derives level-1 totals from the cell prefix tables, which can
-	// differ from the builder's running totals by float rounding (the
-	// JSON round trip has the same property).
+	// differ from the builder's running totals by float rounding.
 	for _, r := range []geom.Rect{
 		geom.NewRect(0, 0, 20, 20),
 		geom.NewRect(1.5, 2.5, 18.25, 19.75),
@@ -103,37 +101,6 @@ func TestAGBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 	if a, b := orig.TotalEstimate(), loaded.TotalEstimate(); math.Abs(a-b) > 1e-9 {
 		t.Errorf("TotalEstimate: %g vs %g", a, b)
-	}
-}
-
-// TestBinaryMatchesJSONAnswers: the two formats must describe the same
-// release — a synopsis loaded from binary answers exactly like one
-// loaded from JSON of the same release.
-func TestBinaryMatchesJSONAnswers(t *testing.T) {
-	orig := testAG(t)
-	bin, err := orig.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := ParseAdaptiveGridBinary(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := ParseAdaptiveGrid(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []geom.Rect{
-		geom.NewRect(0, 0, 20, 20),
-		geom.NewRect(3.3, 1.1, 12.9, 17.2),
-	} {
-		if a, b := fromBin.Query(r), fromJSON.Query(r); a != b {
-			t.Errorf("Query(%v): binary %g, JSON %g", r, a, b)
-		}
 	}
 }
 
@@ -283,33 +250,6 @@ func TestAGBinaryRejectsBadSumsTable(t *testing.T) {
 		}
 		if _, err := ValidateAdaptiveGridBinary(mkAG(sums)); err == nil {
 			t.Errorf("%s: validate accepted", name)
-		}
-	}
-}
-
-// TestBinarySmallerThanJSON: the whole point of the codec — at matched
-// cell counts the binary file must be smaller than the JSON one.
-func TestBinarySmallerThanJSON(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		bin  func() ([]byte, error)
-		json func() (int64, error)
-	}{
-		{"ug", func() ([]byte, error) { return testUG(t).AppendBinary(nil) },
-			func() (int64, error) { var b bytes.Buffer; return testUG(t).WriteTo(&b) }},
-		{"ag", func() ([]byte, error) { return testAG(t).AppendBinary(nil) },
-			func() (int64, error) { var b bytes.Buffer; return testAG(t).WriteTo(&b) }},
-	} {
-		bin, err := tc.bin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonLen, err := tc.json()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(bin)) >= jsonLen {
-			t.Errorf("%s: binary %d bytes >= JSON %d bytes", tc.name, len(bin), jsonLen)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func parallelTestPoints(n int, seed int64, dom geom.Domain) []geom.Point {
@@ -126,6 +127,9 @@ func TestParallelAGZeroNoiseExact(t *testing.T) {
 	}
 }
 
+// TestQueryBatchMatchesQuery: a concurrent fan-out of Query (the batch
+// path every synopsis shares) answers bit-identically to serial calls,
+// in input order.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	dom, _ := geom.NewDomain(0, 0, 100, 100)
 	pts := parallelTestPoints(10000, 5, dom)
@@ -146,14 +150,13 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name  string
-		batch func([]geom.Rect) []float64
-		one   func(geom.Rect) float64
+		name string
+		one  func(geom.Rect) float64
 	}{
-		{"UG", ug.QueryBatch, ug.Query},
-		{"AG", ag.QueryBatch, ag.Query},
+		{"UG", ug.Query},
+		{"AG", ag.Query},
 	} {
-		got := tc.batch(rects)
+		got := pool.Map(rects, 0, tc.one)
 		if len(got) != len(rects) {
 			t.Fatalf("%s: %d results for %d rects", tc.name, len(got), len(rects))
 		}
@@ -163,7 +166,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 			}
 		}
 	}
-	if got := ug.QueryBatch(nil); len(got) != 0 {
+	if got := pool.Map(nil, 0, ug.Query); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }

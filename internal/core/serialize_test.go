@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
 )
@@ -18,11 +19,11 @@ func TestUGSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
+	data, err := orig.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseUniformGrid(buf.Bytes())
+	loaded, err := ParseUniformGridBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestAGSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
+	data, err := orig.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ParseAdaptiveGrid(buf.Bytes())
+	loaded, err := ParseAdaptiveGridBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,73 +79,57 @@ func TestAGSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadEnvelope(t *testing.T) {
-	dom := geom.MustDomain(0, 0, 1, 1)
-	ug, err := BuildUniformGrid(nil, dom, 1, UGOptions{GridSize: 2}, noise.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ug.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadEnvelope(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Format != FormatUG || env.Version != serializeVersion {
-		t.Errorf("envelope = %+v", env)
-	}
-	if _, err := ReadEnvelope([]byte("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadEnvelope([]byte(`{"version":1}`)); err == nil {
-		t.Error("missing format tag accepted")
-	}
+// Field offsets shared by the UG and AG containers: 8-byte magic, then
+// the u16 version and kind, then the four domain bounds and epsilon.
+const (
+	offVersion = 8
+	offKind    = 10
+	offDomain  = 12
+	offEps     = 44
+)
+
+// patch returns a copy of data with f applied.
+func patch(data []byte, f func(b []byte)) []byte {
+	out := bytes.Clone(data)
+	f(out)
+	return out
 }
 
-// corruptUG returns a valid serialized UG that f may mutate before
-// re-serialization.
-func corruptUG(t *testing.T, f func(m map[string]any)) []byte {
-	t.Helper()
+func putF64(b []byte, off int, v float64) {
+	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+}
+
+func TestParseUniformGridRejectsCorruption(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 4, 4)
 	ug, err := BuildUniformGrid(nil, dom, 1, UGOptions{GridSize: 2}, noise.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ug.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	f(m)
-	out, err := json.Marshal(m)
+	data, err := ug.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
-}
-
-func TestParseUniformGridRejectsCorruption(t *testing.T) {
+	// UG body after epsilon: m, mx, my (u32 at 52, 56, 60), then the
+	// counts section's u64 length at 64 and its first value at 72.
 	cases := []struct {
 		name string
-		mut  func(m map[string]any)
+		mut  func(b []byte)
 	}{
-		{"wrong format", func(m map[string]any) { m["format"] = "bogus" }},
-		{"future version", func(m map[string]any) { m["version"] = 99 }},
-		{"zero m", func(m map[string]any) { m["m"] = 0 }},
-		{"counts length mismatch", func(m map[string]any) { m["counts"] = []float64{1, 2, 3} }},
-		{"bad epsilon", func(m map[string]any) { m["epsilon"] = -1 }},
-		{"bad domain", func(m map[string]any) { m["domain"] = []float64{5, 5, 1, 1} }},
-		{"nan count", func(m map[string]any) { m["counts"] = []any{1.0, "NaN", 3.0, 4.0} }},
+		{"wrong format", func(b []byte) { binary.LittleEndian.PutUint16(b[offKind:], uint16(codec.KindAdaptive)) }},
+		{"future version", func(b []byte) { binary.LittleEndian.PutUint16(b[offVersion:], 99) }},
+		{"zero m", func(b []byte) { binary.LittleEndian.PutUint32(b[52:], 0) }},
+		{"counts length mismatch", func(b []byte) { binary.LittleEndian.PutUint64(b[64:], 3) }},
+		{"bad epsilon", func(b []byte) { putF64(b, offEps, -1) }},
+		{"bad domain", func(b []byte) {
+			for i, v := range []float64{5, 5, 1, 1} {
+				putF64(b, offDomain+8*i, v)
+			}
+		}},
+		{"nan count", func(b []byte) { putF64(b, 72, math.NaN()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := corruptUG(t, tc.mut)
-			if _, err := ParseUniformGrid(data); err == nil {
+			if _, err := ParseUniformGridBinary(patch(data, tc.mut)); err == nil {
 				t.Error("corrupted synopsis accepted")
 			}
 		})
@@ -157,31 +142,23 @@ func TestParseAdaptiveGridRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ag.WriteTo(&buf); err != nil {
+	data, err := ag.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mutate := func(f func(m map[string]any)) []byte {
-		var m map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
-		f(m)
-		out, _ := json.Marshal(m)
-		return out
-	}
+	// AG body after epsilon: alpha (f64 at 52), then m1 (u32 at 60).
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"wrong format", mutate(func(m map[string]any) { m["format"] = FormatUG })},
-		{"bad alpha", mutate(func(m map[string]any) { m["alpha"] = 2.0 })},
-		{"cells mismatch", mutate(func(m map[string]any) { m["m1"] = 5 })},
+		{"wrong format", patch(data, func(b []byte) { binary.LittleEndian.PutUint16(b[offKind:], uint16(codec.KindUniform)) })},
+		{"bad alpha", patch(data, func(b []byte) { putF64(b, 52, 2.0) })},
+		{"cells mismatch", patch(data, func(b []byte) { binary.LittleEndian.PutUint32(b[60:], 5) })},
 		{"not json", []byte("{{{{")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseAdaptiveGrid(tc.data); err == nil {
+			if _, err := ParseAdaptiveGridBinary(tc.data); err == nil {
 				t.Error("corrupted synopsis accepted")
 			}
 		})
@@ -194,11 +171,11 @@ func TestParseUGWrongKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ag.WriteTo(&buf); err != nil {
+	data, err := ag.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseUniformGrid(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "format") {
+	if _, err := ParseUniformGridBinary(data); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("AG file parsed as UG: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
 	"github.com/dpgrid/dpgrid/internal/pointindex"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func uniformPoints(seed int64, n int, dom geom.Domain) []geom.Point {
@@ -190,6 +191,8 @@ func TestHierarchyAccessors(t *testing.T) {
 	}
 }
 
+// TestQueryBatchMatchesQuery: a concurrent fan-out of Query answers
+// bit-identically to serial calls, in input order.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 100, 100)
 	pts := uniformPoints(9, 5000, dom)
@@ -202,7 +205,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	for i := range rects {
 		rects[i] = geom.NewRect(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 	}
-	got := h.QueryBatch(rects)
+	got := pool.Map(rects, 0, h.Query)
 	if len(got) != len(rects) {
 		t.Fatalf("%d results for %d rects", len(got), len(rects))
 	}

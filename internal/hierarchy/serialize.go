@@ -1,20 +1,16 @@
 package hierarchy
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
 )
 
 // Serialization of hierarchy synopses. The released synopsis is the
-// reconciled leaf grid, so — exactly like AG cells — both encodings
-// persist the prefix-sum table, the synopsis's in-memory query
+// reconciled leaf grid, so — exactly like AG cells — the encoding
+// persists the prefix-sum table, the synopsis's in-memory query
 // structure: encode/decode never recompute sums, round trips are
 // bit-identical, and decoding is an allocation plus a copy. The level
 // structure (branching, depth) rides along so accessors and re-encodes
@@ -27,23 +23,12 @@ import (
 //	branching (u32) | depth (u32) |
 //	prefix sums (length-prefixed f64 section, (m+1)^2 row-major)
 
-const (
-	// FormatHierarchy tags serialized Hierarchy synopses.
-	FormatHierarchy = "dpgrid/hierarchy"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
-
 func init() {
 	codec.Register(codec.Registration{
-		Kind:       codec.KindHierarchy,
-		Name:       "hierarchy",
-		JSONFormat: FormatHierarchy,
+		Kind: codec.KindHierarchy,
+		Name: "hierarchy",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseHierarchyBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseHierarchy(data)
 		},
 		Validate: ValidateHierarchyBinary,
 	})
@@ -63,37 +48,6 @@ func (h *Hierarchy) AppendBinary(dst []byte) ([]byte, error) {
 	e.U32(uint32(h.opts.Depth))
 	e.F64s(h.prefix.Sums())
 	return e.Bytes(), nil
-}
-
-// hierFile is the on-disk JSON form.
-type hierFile struct {
-	core.Envelope
-	Domain    [4]float64 `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon   float64    `json:"epsilon"`
-	GridSize  int        `json:"grid_size"`
-	Branching int        `json:"branching"`
-	Depth     int        `json:"depth"`
-	Sums      []float64  `json:"sums"` // (m+1)^2 row-major prefix sums
-}
-
-// WriteTo serializes the synopsis as JSON.
-func (h *Hierarchy) WriteTo(w io.Writer) (int64, error) {
-	f := hierFile{
-		Envelope:  core.Envelope{Format: FormatHierarchy, Version: serializeVersion},
-		Domain:    [4]float64{h.dom.MinX, h.dom.MinY, h.dom.MaxX, h.dom.MaxY},
-		Epsilon:   h.eps,
-		GridSize:  h.opts.GridSize,
-		Branching: h.opts.Branching,
-		Depth:     h.opts.Depth,
-		Sums:      h.prefix.Sums(),
-	}
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return 0, fmt.Errorf("hierarchy: marshal synopsis: %w", err)
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
 }
 
 // checkShape validates the level structure: positive leaf size within
@@ -209,58 +163,4 @@ func ValidateHierarchyBinary(data []byte) (codec.Info, error) {
 		return codec.Info{}, err
 	}
 	return codec.Info{Dom: f.dom, Eps: f.eps}, nil
-}
-
-// ParseHierarchy deserializes a JSON hierarchy synopsis, validating all
-// structural invariants.
-func ParseHierarchy(data []byte) (*Hierarchy, error) {
-	var f hierFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	if f.Format != FormatHierarchy {
-		return nil, fmt.Errorf("hierarchy: format %q is not %q", f.Format, FormatHierarchy)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("hierarchy: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: parse synopsis: %w", err)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("hierarchy: invalid epsilon %g", f.Epsilon)
-	}
-	levels, err := checkShape(f.GridSize, f.Branching, f.Depth)
-	if err != nil {
-		return nil, err
-	}
-	if want := (f.GridSize + 1) * (f.GridSize + 1); len(f.Sums) != want {
-		return nil, fmt.Errorf("hierarchy: sums length %d != (m+1)^2 = %d", len(f.Sums), want)
-	}
-	if err := checkFiniteSums(f.Sums); err != nil {
-		return nil, err
-	}
-	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: %w", err)
-	}
-	return &Hierarchy{
-		dom:    dom,
-		eps:    f.Epsilon,
-		opts:   Options{GridSize: f.GridSize, Branching: f.Branching, Depth: f.Depth},
-		prefix: prefix,
-		levels: levels,
-	}, nil
-}
-
-// checkFiniteSums rejects NaN/Inf entries so a decoded synopsis can
-// never answer queries with garbage.
-func checkFiniteSums(vals []float64) error {
-	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("hierarchy: non-finite prefix sum %g at index %d", v, i)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package hierarchy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,25 +63,6 @@ func TestHierarchyBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHierarchyJSONRoundTrip(t *testing.T) {
-	h := buildTestHierarchy(t)
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseHierarchy(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
-	}
-}
-
 func TestHierarchyBinaryRejectsCorruption(t *testing.T) {
 	h := buildTestHierarchy(t)
 	data, err := h.AppendBinary(nil)
@@ -125,26 +108,33 @@ func TestHierarchyBinaryRejectsCorruption(t *testing.T) {
 	})
 }
 
-func TestHierarchyJSONRejectsBadShape(t *testing.T) {
-	h := buildTestHierarchy(t)
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
+// TestHierarchyBinaryRejectsBadShape: a well-framed container whose shape
+// or budget fields are invalid is refused, as is a document in the retired
+// JSON format.
+func TestHierarchyBinaryRejectsBadShape(t *testing.T) {
+	data, err := buildTestHierarchy(t).AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mangle := range map[string]func(string) string{
-		"wrong format":  func(s string) string { return strings.Replace(s, FormatHierarchy, "dpgrid/nope", 1) },
-		"bad branching": func(s string) string { return strings.Replace(s, `"branching":2`, `"branching":3`, 1) },
-		"zero depth":    func(s string) string { return strings.Replace(s, `"depth":3`, `"depth":0`, 1) },
-		"bad epsilon":   func(s string) string { return strings.Replace(s, `"epsilon":1`, `"epsilon":-1`, 1) },
+	// The shape fields follow header (12) + domain (32) + epsilon (8):
+	// grid size at 52, branching at 56, depth at 60 (u32 each).
+	for name, mangle := range map[string]func(b []byte){
+		"bad branching": func(b []byte) { b[56] = 3 },
+		"zero depth":    func(b []byte) { b[60] = 0 },
+		"bad epsilon":   func(b []byte) { binary.LittleEndian.PutUint64(b[44:], math.Float64bits(-1)) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			mangled := mangle(buf.String())
-			if mangled == buf.String() {
-				t.Fatal("mangle had no effect; field spelling changed?")
-			}
-			if _, err := ParseHierarchy([]byte(mangled)); err == nil {
+			bad := append([]byte(nil), data...)
+			mangle(bad)
+			if _, err := ParseHierarchyBinary(bad); err == nil {
 				t.Error("accepted, want error")
 			}
 		})
 	}
+	t.Run("wrong format", func(t *testing.T) {
+		legacy := []byte(`{"format":"dpgrid/hierarchy","grid_size":8,"branching":2,"depth":3}`)
+		if _, err := ParseHierarchyBinary(legacy); err == nil || !strings.Contains(err.Error(), codec.Magic) {
+			t.Errorf("JSON document: err = %v", err)
+		}
+	})
 }

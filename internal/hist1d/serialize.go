@@ -1,16 +1,13 @@
 package hist1d
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 )
 
-// Serialization of 1D histograms. Both encodings persist the prefix-sum
+// Serialization of 1D histograms. The encoding persists the prefix-sum
 // table — the in-memory query structure — for bit-identical round trips
 // (the same copy-only decode pattern the 2D kinds use). Prefix sums of
 // noisy bins are not monotonic (Laplace noise goes negative), so the
@@ -28,11 +25,6 @@ import (
 //	prefix sums (length-prefixed f64 section, bins+1 entries)
 
 const (
-	// FormatHist1D tags serialized 1D histograms.
-	FormatHist1D = "dpgrid/hist1d"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-
 	// maxBins caps the bin count a file may demand, mirroring the grid
 	// packages' cell cap: decode allocation is bounded by the file's own
 	// size either way, but no sane release is finer than this.
@@ -44,14 +36,10 @@ func init() {
 	// against a mosaic tile, so hist1d payloads are deliberately not
 	// embeddable in sharded manifests.
 	codec.Register(codec.Registration{
-		Kind:       codec.KindHist1D,
-		Name:       "hist1d",
-		JSONFormat: FormatHist1D,
+		Kind: codec.KindHist1D,
+		Name: "hist1d",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseHistBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseHist(data)
 		},
 	})
 }
@@ -82,37 +70,7 @@ func (h *Hist) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// histFile is the on-disk JSON form.
-type histFile struct {
-	core.Envelope
-	Range   [2]float64 `json:"range"` // lo, hi
-	Epsilon float64    `json:"epsilon"`
-	Bins    int        `json:"bins"`
-	Prefix  []float64  `json:"prefix"` // bins+1 prefix sums, prefix[0] == 0
-}
-
-// WriteTo serializes the histogram as JSON.
-func (h *Hist) WriteTo(dst io.Writer) (int64, error) {
-	if err := h.checkSerializable(); err != nil {
-		return 0, err
-	}
-	f := histFile{
-		Envelope: core.Envelope{Format: FormatHist1D, Version: serializeVersion},
-		Range:    [2]float64{h.lo, h.hi},
-		Epsilon:  h.eps,
-		Bins:     h.Bins(),
-		Prefix:   h.prefix,
-	}
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return 0, fmt.Errorf("hist1d: marshal synopsis: %w", err)
-	}
-	data = append(data, '\n')
-	n, err := dst.Write(data)
-	return int64(n), err
-}
-
-// checkDecoded validates the shared invariants of both encodings.
+// checkDecoded validates the decoded fields' invariants.
 func checkDecoded(lo, hi, eps float64, bins int, prefix []float64) error {
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || !(hi > lo) {
 		return fmt.Errorf("hist1d: invalid range [%g, %g]", lo, hi)
@@ -165,23 +123,4 @@ func ParseHistBinary(data []byte) (*Hist, error) {
 		return nil, err
 	}
 	return &Hist{lo: lo, hi: hi, eps: eps, prefix: prefix}, nil
-}
-
-// ParseHist deserializes a JSON hist1d synopsis, validating all
-// structural invariants.
-func ParseHist(data []byte) (*Hist, error) {
-	var f histFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("hist1d: parse synopsis: %w", err)
-	}
-	if f.Format != FormatHist1D {
-		return nil, fmt.Errorf("hist1d: format %q is not %q", f.Format, FormatHist1D)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("hist1d: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	if err := checkDecoded(f.Range[0], f.Range[1], f.Epsilon, f.Bins, f.Prefix); err != nil {
-		return nil, err
-	}
-	return &Hist{lo: f.Range[0], hi: f.Range[1], eps: f.Epsilon, prefix: f.Prefix}, nil
 }

@@ -52,21 +52,6 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	h := testHist(t)
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ParseHist(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, y := h.Range(3, 77), loaded.Range(3, 77); x != y {
-		t.Errorf("Range changed across JSON round trip: %g vs %g", x, y)
-	}
-}
-
 func TestRectQueryProjectsOntoAxis(t *testing.T) {
 	h := testHist(t)
 	r := geom.Rect{MinX: 10, MinY: -5, MaxX: 40, MaxY: 99}
@@ -84,10 +69,6 @@ func TestExactHistogramRefusesToSerialize(t *testing.T) {
 	}
 	if _, err := h.AppendBinary(nil); err == nil {
 		t.Error("AppendBinary accepted an exact histogram")
-	}
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err == nil {
-		t.Error("WriteTo accepted an exact histogram")
 	}
 }
 
@@ -179,7 +160,7 @@ func TestRegistryDecodesHist1D(t *testing.T) {
 	if !ok {
 		t.Fatal("hist1d kind not registered")
 	}
-	if reg.Name != "hist1d" || reg.JSONFormat != FormatHist1D {
+	if reg.Name != "hist1d" {
 		t.Fatalf("registration = %+v", reg)
 	}
 	if reg.Embeddable() {

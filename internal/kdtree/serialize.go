@@ -1,27 +1,23 @@
 package kdtree
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Serialization of kd-tree synopses. Unlike the grid-backed kinds, a
-// tree's query structure is its node table, so that is what both
-// encodings persist: per-node rect, noisy count, variance, and child
+// tree's query structure is its node table, so that is what the
+// encoding persists: per-node rect, noisy count, variance, and child
 // indices, plus the post-CI estimate vector. Decoding copies the table
 // verbatim — no rebuilding, no re-noising — so round trips are
 // bit-identical.
 //
 // Structural safety rests on the builder's append-order invariant:
 // children are appended after their parent, so every child index is
-// strictly greater than its parent's. Decoders enforce that, plus
+// strictly greater than its parent's. The decoder enforces that, plus
 // every-node-referenced-exactly-once, which together rule out cycles,
 // sharing, and orphans in untrusted input.
 //
@@ -34,11 +30,6 @@ import (
 //	estimates (length-prefixed f64 section, one per node)
 
 const (
-	// FormatKDTree tags serialized kd-tree synopses.
-	FormatKDTree = "dpgrid/kdtree"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-
 	// minNodeBytes is the smallest a serialized node can be (a leaf:
 	// rect + count + variance + zero child count) — the divisor that
 	// bounds the node-count prefix against the bytes actually present.
@@ -47,14 +38,10 @@ const (
 
 func init() {
 	codec.Register(codec.Registration{
-		Kind:       codec.KindKDTree,
-		Name:       "kd-tree",
-		JSONFormat: FormatKDTree,
+		Kind: codec.KindKDTree,
+		Name: "kd-tree",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParseTreeBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParseTree(data)
 		},
 		Validate: ValidateTreeBinary,
 	})
@@ -62,14 +49,6 @@ func init() {
 
 // ContainerKind reports the synopsis's container kind.
 func (t *Tree) ContainerKind() codec.Kind { return codec.KindKDTree }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order. Queries are
-// pure post-processing over the released tree, so answering them
-// concurrently is safe and spends no privacy budget.
-func (t *Tree) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, t.Query)
-}
 
 // AppendBinary appends the synopsis's dpgridv2 container to dst and
 // returns the extended slice.
@@ -102,57 +81,8 @@ func (t *Tree) AppendBinary(dst []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// treeNodeFile is a node's on-disk JSON form.
-type treeNodeFile struct {
-	Rect     [4]float64 `json:"rect"` // minX, minY, maxX, maxY
-	Count    float64    `json:"count"`
-	Variance float64    `json:"variance"`
-	Children []int      `json:"children,omitempty"`
-}
-
-// treeFile is the on-disk JSON form. Leaves is derived on parse.
-type treeFile struct {
-	core.Envelope
-	Domain    [4]float64     `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon   float64        `json:"epsilon"`
-	Method    int            `json:"method"`
-	Depth     int            `json:"depth"`
-	UsedCI    bool           `json:"used_ci"`
-	Nodes     []treeNodeFile `json:"nodes"`
-	Estimates []float64      `json:"estimates"`
-}
-
-// WriteTo serializes the synopsis as JSON.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	f := treeFile{
-		Envelope:  core.Envelope{Format: FormatKDTree, Version: serializeVersion},
-		Domain:    [4]float64{t.dom.MinX, t.dom.MinY, t.dom.MaxX, t.dom.MaxY},
-		Epsilon:   t.eps,
-		Method:    int(t.method),
-		Depth:     t.depth,
-		UsedCI:    t.usedCI,
-		Nodes:     make([]treeNodeFile, len(t.nodes)),
-		Estimates: t.estimates,
-	}
-	for i, n := range t.nodes {
-		f.Nodes[i] = treeNodeFile{
-			Rect:     [4]float64{n.rect.MinX, n.rect.MinY, n.rect.MaxX, n.rect.MaxY},
-			Count:    n.count,
-			Variance: n.variance,
-			Children: n.children,
-		}
-	}
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return 0, fmt.Errorf("kdtree: marshal synopsis: %w", err)
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// treeParts is a decoded-but-unvalidated tree; validate() is the single
-// gatekeeper both the binary and JSON decoders go through.
+// treeParts is a decoded-but-unvalidated tree; validate() is the
+// decoder's structural gatekeeper.
 type treeParts struct {
 	dom       geom.Domain
 	eps       float64
@@ -318,44 +248,4 @@ func ValidateTreeBinary(data []byte) (codec.Info, error) {
 		return codec.Info{}, err
 	}
 	return codec.Info{Dom: p.dom, Eps: p.eps}, nil
-}
-
-// ParseTree deserializes a JSON kd-tree synopsis, validating all
-// structural invariants.
-func ParseTree(data []byte) (*Tree, error) {
-	var f treeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
-	}
-	if f.Format != FormatKDTree {
-		return nil, fmt.Errorf("kdtree: format %q is not %q", f.Format, FormatKDTree)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("kdtree: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
-	if err != nil {
-		return nil, fmt.Errorf("kdtree: parse synopsis: %w", err)
-	}
-	p := treeParts{
-		dom:       dom,
-		eps:       f.Epsilon,
-		method:    Method(f.Method),
-		depth:     f.Depth,
-		usedCI:    f.UsedCI,
-		nodes:     make([]treeNode, len(f.Nodes)),
-		estimates: f.Estimates,
-	}
-	for i, n := range f.Nodes {
-		p.nodes[i] = treeNode{
-			rect:     geom.Rect{MinX: n.Rect[0], MinY: n.Rect[1], MaxX: n.Rect[2], MaxY: n.Rect[3]},
-			count:    n.Count,
-			variance: n.Variance,
-			children: n.Children,
-		}
-	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	return p.build(), nil
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func buildTestTree(t *testing.T, method Method) *Tree {
@@ -59,28 +60,6 @@ func TestTreeBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("Validate info = %+v", info)
 			}
 		})
-	}
-}
-
-func TestTreeJSONRoundTrip(t *testing.T) {
-	tree := buildTestTree(t, Hybrid)
-	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseTree(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
-	}
-	if got.Leaves() != tree.Leaves() {
-		t.Fatalf("derived leaves = %d, want %d", got.Leaves(), tree.Leaves())
 	}
 }
 
@@ -138,29 +117,43 @@ func TestTreeBinaryRejectsCorruption(t *testing.T) {
 	})
 }
 
-func TestTreeJSONRejectsBadTopology(t *testing.T) {
-	tree := buildTestTree(t, Standard)
-	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
+// TestTreeBinaryRejectsBadTopology: a well-framed container whose depth
+// or child links do not form a valid tree is refused, as is a document in
+// the retired JSON format.
+func TestTreeBinaryRejectsBadTopology(t *testing.T) {
+	data, err := buildTestTree(t, Hybrid).AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mangle := range map[string]func(string) string{
-		"wrong format": func(s string) string { return strings.Replace(s, FormatKDTree, "dpgrid/nope", 1) },
-		"bad depth":    func(s string) string { return strings.Replace(s, `"depth":5`, `"depth":99`, 1) },
-		"shared child": func(s string) string { return strings.Replace(s, `"children":[1,`, `"children":[2,`, 1) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			mangled := mangle(buf.String())
-			if mangled == buf.String() {
-				t.Fatal("mangle had no effect; field spelling changed?")
-			}
-			if _, err := ParseTree([]byte(mangled)); err == nil {
-				t.Error("accepted, want error")
-			}
-		})
-	}
+	t.Run("bad depth", func(t *testing.T) {
+		bad := append([]byte(nil), data...)
+		// depth u32 follows header + domain + eps + method + CI.
+		bad[56] = 99
+		if _, err := ParseTreeBinary(bad); err == nil || !strings.Contains(err.Error(), "depth") {
+			t.Errorf("bad depth: err = %v", err)
+		}
+	})
+	t.Run("shared child", func(t *testing.T) {
+		// Re-point the root's first child (index 1) at node 2, which its
+		// own parent already references: node 2 gains a second parent and
+		// node 1 is orphaned.
+		bad := append([]byte(nil), data...)
+		childIdx := 64 + 8 + 48 + 4
+		bad[childIdx] = 2
+		if _, err := ParseTreeBinary(bad); err == nil || !strings.Contains(err.Error(), "referenced") {
+			t.Errorf("shared child: err = %v", err)
+		}
+	})
+	t.Run("wrong format", func(t *testing.T) {
+		legacy := []byte(`{"format":"dpgrid/kdtree","method":"hybrid","depth":3}`)
+		if _, err := ParseTreeBinary(legacy); err == nil || !strings.Contains(err.Error(), codec.Magic) {
+			t.Errorf("JSON document: err = %v", err)
+		}
+	})
 }
 
+// TestTreeQueryBatchMatchesQuery: a concurrent fan-out of Query answers
+// bit-identically to serial calls, in input order.
 func TestTreeQueryBatchMatchesQuery(t *testing.T) {
 	tree := buildTestTree(t, Hybrid)
 	rng := rand.New(rand.NewSource(4))
@@ -169,7 +162,7 @@ func TestTreeQueryBatchMatchesQuery(t *testing.T) {
 		x, y := rng.Float64()*9, rng.Float64()*9
 		rs[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64(), MaxY: y + rng.Float64()}
 	}
-	got := tree.QueryBatch(rs)
+	got := pool.Map(rs, 0, tree.Query)
 	if len(got) != len(rs) {
 		t.Fatalf("got %d answers for %d queries", len(got), len(rs))
 	}

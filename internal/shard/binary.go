@@ -6,22 +6,51 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 )
 
-// Binary (dpgridv2) serialization of sharded releases. The manifest
-// body is:
+// Serialization of sharded releases: a dpgridv2 manifest carrying the
+// plan and the release epsilon, plus one embedded per-shard container
+// per tile in the payload kind's own encoding. Reusing the per-shard
+// containers verbatim means a shard can be cut out of a manifest and
+// served standalone, and the per-shard decoders' structural validation
+// runs unchanged on every payload. Any registered kind that is
+// embeddable (codec.Registration.Embeddable) can serve as the tile
+// kind; the manifest kind itself is not, so releases never nest.
+//
+// The manifest body is:
 //
 //	domain (4 f64) | epsilon (f64) | kx, ky (u32) | shard kind (u16) |
 //	shard count (u64) | offset table: count x (offset u64, length u64) |
 //	blob length (u64) | blob (concatenated per-shard containers)
 //
-// Each blob entry is a complete dpgridv2 container of any embeddable
-// registered kind (see codec.Registration.Embeddable), so — exactly
-// like the JSON manifest — a shard can be cut out of a release and
-// served standalone. The offset table is what the JSON format cannot
-// offer: a reader locates any shard's bytes in O(1) without decoding
-// the others, which is the foundation of lazy loading (see Lazy).
+// The offset table lets a reader locate any shard's bytes in O(1)
+// without decoding the others, which is the foundation of lazy loading
+// (see Lazy).
 //
 // Encodings are canonical: offsets are required to be contiguous from
 // zero, so re-encoding a decoded release reproduces the bytes exactly.
+
+func init() {
+	codec.Register(codec.Registration{
+		Kind: codec.KindSharded,
+		Name: "sharded",
+		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
+			return ParseShardedBinary(data)
+		},
+		DecodeBinaryLazy: func(data []byte) (codec.Synopsis, error) {
+			return ParseShardedLazy(data)
+		},
+		DecodeBinaryView: func(data []byte) (codec.Synopsis, error) {
+			return ParseShardedLazyView(data)
+		},
+		// No Validate: the manifest kind is deliberately not embeddable
+		// as a tile of another manifest.
+	})
+}
+
+// ContainerKind reports the release's container kind.
+func (s *Sharded) ContainerKind() codec.Kind { return codec.KindSharded }
+
+// ContainerKind reports the release's container kind.
+func (l *Lazy) ContainerKind() codec.Kind { return codec.KindSharded }
 
 // binaryAppender is implemented by every synopsis with a dpgridv2
 // encoding.
@@ -29,18 +58,9 @@ type binaryAppender interface {
 	AppendBinary(dst []byte) ([]byte, error)
 }
 
-// embeddableByFormat resolves a per-shard JSON format tag to its kind
+// embeddableByKind resolves a per-shard container kind to its
 // registration, requiring the kind to be embeddable as a manifest tile
 // (which the manifest kind itself is not — no nested sharding).
-func embeddableByFormat(format string) (codec.Registration, error) {
-	reg, ok := codec.LookupJSONFormat(format)
-	if !ok || !reg.Embeddable() {
-		return codec.Registration{}, fmt.Errorf("shard: shard format %q is not an embeddable synopsis kind", format)
-	}
-	return reg, nil
-}
-
-// embeddableByKind is embeddableByFormat keyed by container kind.
 func embeddableByKind(kind codec.Kind) (codec.Registration, error) {
 	reg, ok := codec.Lookup(kind)
 	if !ok || !reg.Embeddable() {
@@ -52,10 +72,6 @@ func embeddableByKind(kind codec.Kind) (codec.Registration, error) {
 // AppendBinary appends the release's dpgridv2 manifest to dst and
 // returns the extended slice.
 func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
-	reg, err := embeddableByFormat(s.format)
-	if err != nil {
-		return nil, err
-	}
 	// Encode every shard first so the offset table can be written
 	// before the blob.
 	var blob []byte
@@ -79,7 +95,7 @@ func (s *Sharded) AppendBinary(dst []byte) ([]byte, error) {
 	e.F64(s.eps)
 	e.U32(uint32(s.plan.kx))
 	e.U32(uint32(s.plan.ky))
-	e.U16(uint16(reg.Kind))
+	e.U16(uint16(s.kind))
 	e.U64(uint64(len(s.tiles)))
 	for _, off := range offsets {
 		e.U64(off[0])
@@ -96,7 +112,6 @@ type shardedBinary struct {
 	raw      []byte
 	plan     Plan
 	eps      float64
-	format   string
 	kind     codec.Kind
 	payloads [][]byte
 	satAll   bool // every payload carries a stored SAT (set when validated)
@@ -132,8 +147,7 @@ func decodeShardedBinary(data []byte, validatePayloads bool) (*shardedBinary, er
 	if !(eps > 0) {
 		return nil, fmt.Errorf("shard: invalid epsilon %g", eps)
 	}
-	shardReg, err := embeddableByKind(shardKind)
-	if err != nil {
+	if _, err := embeddableByKind(shardKind); err != nil {
 		return nil, err
 	}
 	n := d.Len(16)
@@ -183,7 +197,6 @@ func decodeShardedBinary(data []byte, validatePayloads bool) (*shardedBinary, er
 		raw:      data,
 		plan:     plan,
 		eps:      eps,
-		format:   shardReg.JSONFormat,
 		kind:     shardKind,
 		payloads: make([][]byte, n),
 	}
@@ -265,7 +278,7 @@ func ParseShardedBinary(data []byte) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{plan: sb.plan, eps: sb.eps, format: sb.format, tiles: make([]Synopsis, len(sb.payloads))}
+	s := &Sharded{plan: sb.plan, eps: sb.eps, kind: sb.kind, tiles: make([]Synopsis, len(sb.payloads))}
 	for i, payload := range sb.payloads {
 		tile, err := parseShardPayload(sb.kind, payload)
 		if err != nil {

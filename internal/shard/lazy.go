@@ -3,13 +3,11 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Lazy is a sharded release backed by a dpgridv2 manifest whose
@@ -28,7 +26,6 @@ type Lazy struct {
 	raw          []byte
 	plan         Plan
 	eps          float64
-	format       string
 	kind         codec.Kind
 	payloads     [][]byte
 	tiles        []lazyTile
@@ -71,7 +68,6 @@ func parseShardedLazy(data []byte, zeroCopy bool) (*Lazy, error) {
 		raw:      sb.raw,
 		plan:     sb.plan,
 		eps:      sb.eps,
-		format:   sb.format,
 		kind:     sb.kind,
 		payloads: sb.payloads,
 		tiles:    make([]lazyTile, len(sb.payloads)),
@@ -160,12 +156,6 @@ func (l *Lazy) ShardAnswer(i int, r geom.Rect) float64 {
 	return tileAnswer(l.shard(i), clipped)
 }
 
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order.
-func (l *Lazy) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, l.Query)
-}
-
 // Plan returns the mosaic plan.
 func (l *Lazy) Plan() Plan { return l.plan }
 
@@ -178,9 +168,9 @@ func (l *Lazy) NumShards() int { return len(l.tiles) }
 // semantics.
 func (l *Lazy) Shard(i int) Synopsis { return l.shard(i) }
 
-// ShardFormat returns the serialization format tag of the per-shard
-// payloads (the embedded kind's JSON format, e.g. core.FormatUG).
-func (l *Lazy) ShardFormat() string { return l.format }
+// ShardKind returns the container kind of the per-shard payloads (e.g.
+// codec.KindAdaptive).
+func (l *Lazy) ShardKind() codec.Kind { return l.kind }
 
 // Epsilon returns the privacy budget of the release.
 func (l *Lazy) Epsilon() float64 { return l.eps }
@@ -205,14 +195,7 @@ func (l *Lazy) Eager() *Sharded {
 	for i := range tiles {
 		tiles[i] = l.shard(i)
 	}
-	return &Sharded{plan: l.plan, eps: l.eps, format: l.format, tiles: tiles}
-}
-
-// WriteTo serializes the release as a JSON manifest (materializing
-// every shard). For the binary encoding AppendBinary returns the
-// original container bytes unchanged.
-func (l *Lazy) WriteTo(w io.Writer) (int64, error) {
-	return l.Eager().WriteTo(w)
+	return &Sharded{plan: l.plan, eps: l.eps, kind: l.kind, tiles: tiles}
 }
 
 // AppendBinary appends the release's dpgridv2 manifest to dst. A Lazy

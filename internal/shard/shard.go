@@ -231,10 +231,10 @@ type Synopsis interface {
 // It is immutable once built, so queries may run from any number of
 // goroutines concurrently.
 type Sharded struct {
-	plan   Plan
-	eps    float64
-	format string // per-shard payload format tag (an embeddable kind's JSONFormat)
-	tiles  []Synopsis
+	plan  Plan
+	eps   float64
+	kind  codec.Kind // per-shard payload kind (an embeddable registered kind)
+	tiles []Synopsis
 }
 
 // Assemble constructs a sharded release from pre-built per-tile
@@ -279,14 +279,14 @@ func Assemble(plan Plan, eps float64, tiles []Synopsis) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: tile %d: epsilon %g != release epsilon %g", i, tile.Epsilon(), eps)
 		}
 	}
-	return &Sharded{plan: plan, eps: eps, format: reg.JSONFormat, tiles: append([]Synopsis(nil), tiles...)}, nil
+	return &Sharded{plan: plan, eps: eps, kind: reg.Kind, tiles: append([]Synopsis(nil), tiles...)}, nil
 }
 
 // BuildUniform builds one UG synopsis per tile of plan, each under the
 // full eps (parallel composition over disjoint tiles).
 func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildBuckets(points, plan, opts, core.FormatUG, src,
+	return buildBuckets(points, plan, opts, codec.KindUniform, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -300,7 +300,7 @@ func BuildUniform(points []geom.Point, plan Plan, eps float64, grid core.UGOptio
 // bit-identical to BuildUniform's for the same seed and plan.
 func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerUGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts, core.FormatUG, src,
+	return buildSpill(seq, plan, opts, codec.KindUniform, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildUniformGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -313,7 +313,7 @@ func BuildUniformSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.UGOpti
 // multiply; the release is bit-identical either way.
 func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildBuckets(points, plan, opts, core.FormatAG, src,
+	return buildBuckets(points, plan, opts, codec.KindAdaptive, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -328,7 +328,7 @@ func BuildAdaptive(points []geom.Point, plan Plan, eps float64, grid core.AGOpti
 // their spools instead of buffering point indexes.
 func BuildAdaptiveSeq(seq geom.PointSeq, plan Plan, eps float64, grid core.AGOptions, opts Options, src noise.Source) (*Sharded, error) {
 	grid = innerAGOptions(plan, grid, opts)
-	return buildSpill(seq, plan, opts, core.FormatAG, src,
+	return buildSpill(seq, plan, opts, codec.KindAdaptive, src,
 		func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error) {
 			return core.BuildAdaptiveGridSeq(seq, tile, eps, grid, shardSrc)
 		}, eps)
@@ -364,14 +364,14 @@ func innerUGOptions(plan Plan, grid core.UGOptions, opts Options) core.UGOptions
 // fan-out builds per-shard synopses from the spools. Spool replay
 // preserves stream order, so the release matches the in-memory bucket
 // path bit for bit.
-func buildSpill(seq geom.PointSeq, plan Plan, opts Options, format string, src noise.Source,
+func buildSpill(seq geom.PointSeq, plan Plan, opts Options, kind codec.Kind, src noise.Source,
 	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error), eps float64) (*Sharded, error) {
 	sp, err := partitionSpill(seq, plan, opts.MaxBufferedPoints)
 	if err != nil {
 		return nil, err
 	}
 	defer sp.Close()
-	return build(plan, eps, opts, src, format,
+	return build(plan, eps, opts, src, kind,
 		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
 			return mk(tile, sp.tileSeq(i), shardSrc)
 		})
@@ -380,7 +380,7 @@ func buildSpill(seq geom.PointSeq, plan Plan, opts Options, format string, src n
 // buildBuckets is the in-memory fast path: one O(n) pass assigns every
 // point to its owning tile, then the shared engine builds per-shard
 // synopses from the buckets.
-func buildBuckets(points []geom.Point, plan Plan, opts Options, format string, src noise.Source,
+func buildBuckets(points []geom.Point, plan Plan, opts Options, kind codec.Kind, src noise.Source,
 	mk func(tile geom.Domain, seq geom.PointSeq, shardSrc noise.Source) (Synopsis, error), eps float64) (*Sharded, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
@@ -391,7 +391,7 @@ func buildBuckets(points []geom.Point, plan Plan, opts Options, format string, s
 			buckets[i] = append(buckets[i], p)
 		}
 	}
-	return build(plan, eps, opts, src, format,
+	return build(plan, eps, opts, src, kind,
 		func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error) {
 			return mk(tile, geom.SlicePoints(buckets[i]), shardSrc)
 		})
@@ -401,7 +401,7 @@ func buildBuckets(points []geom.Point, plan Plan, opts Options, format string, s
 // noise sub-stream per shard and runs mk for every tile across the
 // worker pool. mk must build tile i's synopsis from shardSrc alone so
 // the result is independent of scheduling.
-func build(plan Plan, eps float64, opts Options, src noise.Source, format string,
+func build(plan Plan, eps float64, opts Options, src noise.Source, kind codec.Kind,
 	mk func(i int, tile geom.Domain, shardSrc noise.Source) (Synopsis, error)) (*Sharded, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
@@ -449,7 +449,7 @@ func build(plan Plan, eps float64, opts Options, src noise.Source, format string
 			return nil, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
 	}
-	return &Sharded{plan: plan, eps: eps, format: format, tiles: tiles}, nil
+	return &Sharded{plan: plan, eps: eps, kind: kind, tiles: tiles}, nil
 }
 
 // QueryStats reports the routing observations of a single query — the
@@ -558,12 +558,6 @@ func (s *Sharded) ShardAnswer(i int, r geom.Rect) float64 {
 
 func (s *Sharded) tileAt(i int) Synopsis { return s.tiles[i] }
 
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order.
-func (s *Sharded) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, s.Query)
-}
-
 // Plan returns the mosaic plan.
 func (s *Sharded) Plan() Plan { return s.plan }
 
@@ -574,9 +568,9 @@ func (s *Sharded) NumShards() int { return len(s.tiles) }
 // out-of-range index, mirroring slice semantics.
 func (s *Sharded) Shard(i int) Synopsis { return s.tiles[i] }
 
-// ShardFormat returns the serialization format tag of the per-shard
-// payloads (the embedded kind's JSON format, e.g. core.FormatUG).
-func (s *Sharded) ShardFormat() string { return s.format }
+// ShardKind returns the container kind of the per-shard payloads (e.g.
+// codec.KindAdaptive).
+func (s *Sharded) ShardKind() codec.Kind { return s.kind }
 
 // Epsilon returns the privacy budget of the release. By parallel
 // composition over disjoint tiles this is both the per-shard and the

@@ -3,14 +3,16 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func testPoints(seed int64, n int, dom geom.Domain) []geom.Point {
@@ -175,15 +177,15 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if _, err := s.WriteTo(&buf); err != nil {
+				data, err := s.AppendBinary(nil)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if ref == nil {
-					ref = buf.Bytes()
+					ref = data
 					continue
 				}
-				if !bytes.Equal(ref, buf.Bytes()) {
+				if !bytes.Equal(ref, data) {
 					t.Fatalf("Workers=%d released different bits than Workers=1", workers)
 				}
 			}
@@ -282,14 +284,15 @@ func TestSeqMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bufA, bufB bytes.Buffer
-	if _, err := a.WriteTo(&bufA); err != nil {
+	dataA, err := a.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.WriteTo(&bufB); err != nil {
+	dataB, err := b.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
+	if !bytes.Equal(dataA, dataB) {
 		t.Fatal("slice and seq builders released different bits")
 	}
 }
@@ -317,11 +320,11 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if _, err := orig.WriteTo(&buf); err != nil {
+			data, err := orig.AppendBinary(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := ParseSharded(buf.Bytes())
+			loaded, err := ParseShardedBinary(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,8 +383,9 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// TestQueryBatchMatchesQuery: the batch fan-out must return the same
-// answers as sequential Query calls, in input order.
+// TestQueryBatchMatchesQuery: a concurrent fan-out of Query (the batch
+// path) must return the same answers as sequential calls, in input
+// order.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 50, 50)
 	plan, err := NewPlan(dom, 2, 2)
@@ -399,7 +403,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 		x0, y0 := rng.Float64()*50, rng.Float64()*50
 		rects[i] = geom.NewRect(x0, y0, x0+rng.Float64()*25, y0+rng.Float64()*25)
 	}
-	got := s.QueryBatch(rects)
+	got := pool.Map(rects, 0, s.Query)
 	if len(got) != len(rects) {
 		t.Fatalf("batch returned %d answers for %d rects", len(got), len(rects))
 	}
@@ -411,7 +415,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 }
 
 // TestParseShardedRejectsCorrupt exercises the manifest validation
-// paths one by one.
+// paths one by one, for both the eager and the lazy parser.
 func TestParseShardedRejectsCorrupt(t *testing.T) {
 	dom := geom.MustDomain(0, 0, 20, 20)
 	plan, err := NewPlan(dom, 2, 1)
@@ -422,59 +426,56 @@ func TestParseShardedRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
+	valid, err := s.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.String()
-
-	cases := map[string]string{
-		"truncated":          valid[:len(valid)/2],
-		"not json":           "junk",
-		"wrong format":       `{"format":"dpgrid/uniform-grid","version":1}`,
-		"bad version":        `{"format":"dpgrid/sharded","version":99,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad domain":         `{"format":"dpgrid/sharded","version":1,"domain":[5,0,0,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad epsilon":        `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":-1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad plan":           `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":0,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"bad shard format":   `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/what","shards":[]}`,
-		"shard count":        `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":2,"ky":2,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"shard not a syn":    `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"nope":true}]}`,
-		"huge tile counts":   `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":99999,"ky":99999,"shard_format":"dpgrid/uniform-grid","shards":[]}`,
-		"shard fmt mismatch": `{"format":"dpgrid/sharded","version":1,"domain":[0,0,20,20],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"format":"dpgrid/adaptive-grid","version":1}]}`,
+	// Manifest fields after the 12-byte header: domain (12), epsilon
+	// (44), kx and ky (52, 56), shard kind (60), shard count (62), then
+	// the two-entry offset table (70) and the blob length (102); the
+	// blob itself starts at 110.
+	mut := func(f func(b []byte)) []byte {
+		b := bytes.Clone(valid)
+		f(b)
+		return b
+	}
+	putF64 := func(b []byte, off int, v float64) {
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+	}
+	cases := map[string][]byte{
+		"truncated":    valid[:len(valid)/2],
+		"not a file":   []byte("junk"),
+		"json":         []byte(`{"format":"dpgrid/sharded","version":1}`),
+		"wrong format": codec.NewEnc(nil, codec.KindUniform).Bytes(),
+		"bad version":  mut(func(b []byte) { binary.LittleEndian.PutUint16(b[8:], 99) }),
+		"bad domain":   mut(func(b []byte) { putF64(b, 12, 50) }),
+		"bad epsilon":  mut(func(b []byte) { putF64(b, 44, -1) }),
+		"bad plan":     mut(func(b []byte) { binary.LittleEndian.PutUint32(b[52:], 0) }),
+		"huge tile counts": mut(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[52:], 99999)
+			binary.LittleEndian.PutUint32(b[56:], 99999)
+		}),
+		"nested manifest": mut(func(b []byte) { binary.LittleEndian.PutUint16(b[60:], uint16(codec.KindSharded)) }),
+		"hist1d tiles":    mut(func(b []byte) { binary.LittleEndian.PutUint16(b[60:], uint16(codec.KindHist1D)) }),
+		"shard count":     mut(func(b []byte) { binary.LittleEndian.PutUint64(b[62:], 3) }),
+		// A shard payload that parses but covers the wrong tile: swap
+		// the two (equal-length) tile payloads.
+		"swapped tiles": mut(func(b []byte) {
+			blob := b[110:]
+			half := len(blob) / 2
+			tmp := bytes.Clone(blob[:half])
+			copy(blob, blob[half:])
+			copy(blob[half:], tmp)
+		}),
+		"epsilon mismatch": mut(func(b []byte) { putF64(b, 44, 2) }),
 	}
 	for name, data := range cases {
-		if _, err := ParseSharded([]byte(data)); err == nil {
+		if _, err := ParseShardedBinary(data); err == nil {
 			t.Errorf("%s: corrupt manifest accepted", name)
 		}
-	}
-
-	// A shard payload that parses but covers the wrong tile must be
-	// rejected: swap the two tiles' payloads.
-	var f map[string]any
-	if err := json.Unmarshal([]byte(valid), &f); err != nil {
-		t.Fatal(err)
-	}
-	shards := f["shards"].([]any)
-	shards[0], shards[1] = shards[1], shards[0]
-	swapped, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSharded(swapped); err == nil {
-		t.Error("manifest with swapped tile payloads accepted")
-	}
-
-	// Epsilon mismatch between manifest and shard payload.
-	if err := json.Unmarshal([]byte(valid), &f); err != nil {
-		t.Fatal(err)
-	}
-	f["epsilon"] = 2.0
-	mismatched, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSharded(mismatched); err == nil {
-		t.Error("manifest/shard epsilon mismatch accepted")
+		if _, err := ParseShardedLazy(data); err == nil {
+			t.Errorf("%s: corrupt manifest accepted lazily", name)
+		}
 	}
 }
 

@@ -1,21 +1,16 @@
 package wavelet
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/grid"
-	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 // Serialization of Privlet synopses. The wavelet transform is a build-
 // time device: the released synopsis is just the reconstructed noisy
-// m x m grid, so both encodings persist its prefix-sum table — the
+// m x m grid, so the encoding persists its prefix-sum table — the
 // in-memory query structure — for bit-identical round trips (the AG
 // copy-only decode pattern). The padded transform size is derived from
 // m on load, not stored.
@@ -25,23 +20,12 @@ import (
 //	domain (4 f64) | epsilon (f64) | grid size m (u32) |
 //	prefix sums (length-prefixed f64 section, (m+1)^2 row-major)
 
-const (
-	// FormatPrivlet tags serialized Privlet synopses.
-	FormatPrivlet = "dpgrid/privlet"
-	// serializeVersion is bumped on breaking format changes.
-	serializeVersion = 1
-)
-
 func init() {
 	codec.Register(codec.Registration{
-		Kind:       codec.KindPrivlet,
-		Name:       "privlet",
-		JSONFormat: FormatPrivlet,
+		Kind: codec.KindPrivlet,
+		Name: "privlet",
 		DecodeBinary: func(data []byte) (codec.Synopsis, error) {
 			return ParsePrivletBinary(data)
-		},
-		DecodeJSON: func(data []byte) (codec.Synopsis, error) {
-			return ParsePrivlet(data)
 		},
 		Validate: ValidatePrivletBinary,
 	})
@@ -49,14 +33,6 @@ func init() {
 
 // ContainerKind reports the synopsis's container kind.
 func (w *Privlet) ContainerKind() codec.Kind { return codec.KindPrivlet }
-
-// QueryBatch answers every rectangle in rs, fanned out across one
-// worker per CPU, and returns the estimates in input order. Queries are
-// pure post-processing over an immutable prefix table, so answering
-// them concurrently is safe and spends no privacy budget.
-func (w *Privlet) QueryBatch(rs []geom.Rect) []float64 {
-	return pool.Map(rs, 0, w.Query)
-}
 
 // AppendBinary appends the synopsis's dpgridv2 container to dst and
 // returns the extended slice.
@@ -67,33 +43,6 @@ func (w *Privlet) AppendBinary(dst []byte) ([]byte, error) {
 	e.U32(uint32(w.m))
 	e.F64s(w.prefix.Sums())
 	return e.Bytes(), nil
-}
-
-// privletFile is the on-disk JSON form.
-type privletFile struct {
-	core.Envelope
-	Domain   [4]float64 `json:"domain"` // minX, minY, maxX, maxY
-	Epsilon  float64    `json:"epsilon"`
-	GridSize int        `json:"grid_size"`
-	Sums     []float64  `json:"sums"` // (m+1)^2 row-major prefix sums
-}
-
-// WriteTo serializes the synopsis as JSON.
-func (w *Privlet) WriteTo(dst io.Writer) (int64, error) {
-	f := privletFile{
-		Envelope: core.Envelope{Format: FormatPrivlet, Version: serializeVersion},
-		Domain:   [4]float64{w.dom.MinX, w.dom.MinY, w.dom.MaxX, w.dom.MaxY},
-		Epsilon:  w.eps,
-		GridSize: w.m,
-		Sums:     w.prefix.Sums(),
-	}
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return 0, fmt.Errorf("wavelet: marshal synopsis: %w", err)
-	}
-	data = append(data, '\n')
-	n, err := dst.Write(data)
-	return int64(n), err
 }
 
 // checkGridSize validates m against the build-time bounds: positive,
@@ -191,48 +140,4 @@ func ValidatePrivletBinary(data []byte) (codec.Info, error) {
 		return codec.Info{}, err
 	}
 	return codec.Info{Dom: f.dom, Eps: f.eps}, nil
-}
-
-// ParsePrivlet deserializes a JSON Privlet synopsis, validating all
-// structural invariants.
-func ParsePrivlet(data []byte) (*Privlet, error) {
-	var f privletFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	if f.Format != FormatPrivlet {
-		return nil, fmt.Errorf("wavelet: format %q is not %q", f.Format, FormatPrivlet)
-	}
-	if f.Version != serializeVersion {
-		return nil, fmt.Errorf("wavelet: unsupported version %d (have %d)", f.Version, serializeVersion)
-	}
-	dom, err := geom.NewDomain(f.Domain[0], f.Domain[1], f.Domain[2], f.Domain[3])
-	if err != nil {
-		return nil, fmt.Errorf("wavelet: parse synopsis: %w", err)
-	}
-	if !(f.Epsilon > 0) {
-		return nil, fmt.Errorf("wavelet: invalid epsilon %g", f.Epsilon)
-	}
-	if err := checkGridSize(f.GridSize); err != nil {
-		return nil, err
-	}
-	if want := (f.GridSize + 1) * (f.GridSize + 1); len(f.Sums) != want {
-		return nil, fmt.Errorf("wavelet: sums length %d != (m+1)^2 = %d", len(f.Sums), want)
-	}
-	for i, v := range f.Sums {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("wavelet: non-finite prefix sum %g at index %d", v, i)
-		}
-	}
-	prefix, err := grid.PrefixFromSums(dom, f.GridSize, f.GridSize, f.Sums)
-	if err != nil {
-		return nil, fmt.Errorf("wavelet: %w", err)
-	}
-	return &Privlet{
-		dom:    dom,
-		eps:    f.Epsilon,
-		m:      f.GridSize,
-		padded: nextPow2(f.GridSize),
-		prefix: prefix,
-	}, nil
 }

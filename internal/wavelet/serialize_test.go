@@ -9,6 +9,7 @@ import (
 	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/geom"
 	"github.com/dpgrid/dpgrid/internal/noise"
+	"github.com/dpgrid/dpgrid/internal/pool"
 )
 
 func buildTestPrivlet(t *testing.T) *Privlet {
@@ -61,25 +62,6 @@ func TestPrivletBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPrivletJSONRoundTrip(t *testing.T) {
-	w := buildTestPrivlet(t)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParsePrivlet(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var re bytes.Buffer
-	if _, err := got.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("JSON round trip not byte-identical")
-	}
-}
-
 func TestPrivletBinaryRejectsCorruption(t *testing.T) {
 	w := buildTestPrivlet(t)
 	data, err := w.AppendBinary(nil)
@@ -117,6 +99,8 @@ func TestPrivletBinaryRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestPrivletQueryBatchMatchesQuery: a concurrent fan-out of Query
+// answers bit-identically to serial calls, in input order.
 func TestPrivletQueryBatchMatchesQuery(t *testing.T) {
 	w := buildTestPrivlet(t)
 	rng := rand.New(rand.NewSource(3))
@@ -125,7 +109,7 @@ func TestPrivletQueryBatchMatchesQuery(t *testing.T) {
 		x, y := rng.Float64()*9, rng.Float64()*9
 		rs[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64(), MaxY: y + rng.Float64()}
 	}
-	got := w.QueryBatch(rs)
+	got := pool.Map(rs, 0, w.Query)
 	if len(got) != len(rs) {
 		t.Fatalf("got %d answers for %d queries", len(got), len(rs))
 	}

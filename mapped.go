@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/dpgrid/dpgrid/internal/codec"
 	"github.com/dpgrid/dpgrid/internal/mmapfile"
 )
 
@@ -26,9 +25,9 @@ var ErrSynopsisClosed = errors.New("dpgrid: synopsis closed")
 // process. Serving layers therefore either never close (letting process
 // exit clean up, as dpserve does on synopsis replacement) or close only
 // after draining their request paths. After Close, QueryStatsCtx
-// reports ErrSynopsisClosed; the plain Query/QueryBatch interfaces have
-// no error channel, so they panic with a message naming the bug rather
-// than letting the process die on an opaque SIGSEGV or — in the read
+// reports ErrSynopsisClosed; Query and QueryBatch have no error
+// channel, so they panic with a message naming the bug rather than
+// letting the process die on an opaque SIGSEGV or — in the read
 // fallback, where the bytes linger until collected — silently serve
 // from a closed file.
 //
@@ -51,10 +50,9 @@ type MappedSynopsis struct {
 func (m *MappedSynopsis) Unwrap() Synopsis { return m.inner }
 
 // MappedBytes returns the size of the memory-mapped file image backing
-// the synopsis, or 0 when the load did not map (JSON files, platforms
-// or builds without mmap, or encodings whose decoder copies rather than
-// retains). It is the per-synopsis term of dpserve's mapped-bytes
-// gauge.
+// the synopsis, or 0 when the load did not map (platforms or builds
+// without mmap, or kinds whose decoder copies rather than retains). It
+// is the per-synopsis term of dpserve's mapped-bytes gauge.
 func (m *MappedSynopsis) MappedBytes() int64 {
 	if m.file == nil || !m.file.Mapped() {
 		return 0
@@ -94,20 +92,6 @@ func (m *MappedSynopsis) Query(r Rect) float64 {
 	return m.inner.Query(r)
 }
 
-// QueryBatch answers every rectangle in rs in input order (panics after
-// Close, like Query).
-func (m *MappedSynopsis) QueryBatch(rs []Rect) []float64 {
-	m.checkOpen()
-	if bs, ok := m.inner.(BatchSynopsis); ok {
-		return bs.QueryBatch(rs)
-	}
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = m.inner.Query(r)
-	}
-	return out
-}
-
 // QueryStats forwards to the inner release's instrumented query;
 // monolithic inner synopses report a single-shard fan-out. It panics
 // after Close (no error channel); QueryStatsCtx is the closable form.
@@ -127,8 +111,8 @@ func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, Sh
 	if m.closed.Load() {
 		return 0, ShardQueryStats{}, ErrSynopsisClosed
 	}
-	if sco, ok := m.inner.(ShardContextObserver); ok {
-		return sco.QueryStatsCtx(ctx, r)
+	if so, ok := m.inner.(ShardObserver); ok {
+		return so.QueryStatsCtx(ctx, r)
 	}
 	if err := context.Cause(ctx); err != nil {
 		return 0, ShardQueryStats{}, err
@@ -143,9 +127,10 @@ func (m *MappedSynopsis) QueryStatsCtx(ctx context.Context, r Rect) (float64, Sh
 // answering queries straight from the mapped bytes. Kinds or encodings
 // without a zero-copy structure still load — lazily or eagerly, as
 // ReadSynopsisFileLazy would — with the mapping retained only when the
-// decoded form actually borrows from it. On platforms (or builds) where
-// mmap is unavailable the file is read into memory and everything else
-// behaves identically, with MappedBytes reporting 0.
+// decoded form actually borrows from it. A JSON file is rejected with
+// the same conversion hint every reader gives. On platforms (or
+// builds) where mmap is unavailable the file is read into memory and
+// everything else behaves identically, with MappedBytes reporting 0.
 //
 // The returned synopsis must be kept open for as long as queries may
 // run; see MappedSynopsis for the Close contract.
@@ -171,20 +156,11 @@ func MapSynopsisFile(path string) (*MappedSynopsis, error) {
 // readSynopsisView decodes data preferring zero-copy view decoders,
 // reporting whether the result retains (borrows from) data. Fallback
 // order: DecodeBinaryView (retains), DecodeBinaryLazy (retains — lazy
-// manifests keep the raw payload slices), DecodeBinary (copies). JSON
-// files always copy.
+// manifests keep the raw payload slices), DecodeBinary (copies).
 func readSynopsisView(data []byte) (Synopsis, bool, error) {
-	if !codec.Detect(data) {
-		syn, err := readSynopsisJSON(data)
-		return syn, false, err
-	}
-	_, kind, err := codec.NewDec(data)
+	reg, err := lookupContainer(data)
 	if err != nil {
-		return nil, false, fmt.Errorf("dpgrid: %w", err)
-	}
-	reg, ok := codec.Lookup(kind)
-	if !ok {
-		return nil, false, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
+		return nil, false, err
 	}
 	switch {
 	case reg.DecodeBinaryView != nil:

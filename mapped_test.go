@@ -1,6 +1,7 @@
 package dpgrid
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,19 +23,15 @@ var mappedTestRects = []Rect{
 	NewRect(0.1, 17.3, 4.4, 19.9),
 }
 
-// writeMappedTestFiles writes every valid synopsis in both encodings
-// under a temp dir, returning name -> path for the given format.
-func writeMappedTestFiles(t *testing.T, format string) map[string]string {
+// writeMappedTestFiles writes every valid synopsis under a temp dir,
+// returning name -> path.
+func writeMappedTestFiles(t *testing.T) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
-	ext := ".json"
-	if format == FormatBinary {
-		ext = ".dpgrid"
-	}
 	paths := make(map[string]string)
 	for name, s := range validSynopses(t) {
-		p := filepath.Join(dir, name+ext)
-		if err := WriteSynopsisFileFormat(p, s, format); err != nil {
+		p := filepath.Join(dir, name+".dpgrid")
+		if err := WriteSynopsisFile(p, s); err != nil {
 			t.Fatal(err)
 		}
 		paths[name] = p
@@ -55,41 +52,38 @@ func mmapAvailable(t *testing.T, path string) bool {
 	return f.Mapped()
 }
 
-// TestMapSynopsisFileEquivalence: for every kind in both encodings, a
-// mapped load answers the query battery bit-identically to the plain
-// lazy file reader.
+// TestMapSynopsisFileEquivalence: for every kind, a mapped load answers
+// the query battery bit-identically to the plain lazy file reader.
 func TestMapSynopsisFileEquivalence(t *testing.T) {
-	for _, format := range []string{FormatBinary, FormatJSON} {
-		for name, path := range writeMappedTestFiles(t, format) {
-			mapped, err := MapSynopsisFile(path)
-			if err != nil {
-				t.Fatalf("%s (%s): MapSynopsisFile: %v", name, format, err)
+	for name, path := range writeMappedTestFiles(t) {
+		mapped, err := MapSynopsisFile(path)
+		if err != nil {
+			t.Fatalf("%s: MapSynopsisFile: %v", name, err)
+		}
+		plain, err := ReadSynopsisFileLazy(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range mappedTestRects {
+			a, b := mapped.Query(r), plain.Query(r)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: Query(%v): mapped %v, read %v", name, r, a, b)
 			}
-			plain, err := ReadSynopsisFileLazy(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range mappedTestRects {
-				a, b := mapped.Query(r), plain.Query(r)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Errorf("%s (%s): Query(%v): mapped %v, read %v", name, format, r, a, b)
-				}
-			}
-			got := mapped.QueryBatch(mappedTestRects)
-			for i, r := range mappedTestRects {
-				if math.Float64bits(got[i]) != math.Float64bits(plain.Query(r)) {
-					t.Errorf("%s (%s): QueryBatch[%d] diverges from Query", name, format, i)
-				}
+		}
+		got := QueryBatch(mapped, mappedTestRects, 0)
+		for i, r := range mappedTestRects {
+			if math.Float64bits(got[i]) != math.Float64bits(plain.Query(r)) {
+				t.Errorf("%s: QueryBatch[%d] diverges from Query", name, i)
 			}
 		}
 	}
 }
 
-// TestMappedBytesAccounting: binary loads whose decoded form borrows
-// from the file report the file size (when the build actually maps);
-// JSON loads always copy and report 0.
+// TestMappedBytesAccounting: loads whose decoded form borrows from the
+// file report the file size (when the build actually maps); kinds whose
+// decoder copies drop the mapping and report 0.
 func TestMappedBytesAccounting(t *testing.T) {
-	binPaths := writeMappedTestFiles(t, FormatBinary)
+	binPaths := writeMappedTestFiles(t)
 	// UG, AG (zero-copy views) and sharded (lazy manifest borrowing
 	// payload slices) retain the mapping; fully materializing kinds drop
 	// it.
@@ -111,22 +105,21 @@ func TestMappedBytesAccounting(t *testing.T) {
 			t.Errorf("%s: MappedBytes = %d, want %d", name, got, want)
 		}
 	}
-	for name, path := range writeMappedTestFiles(t, FormatJSON) {
-		mapped, err := MapSynopsisFile(path)
+	for _, name := range []string{"hierarchy", "kdtree", "privlet", "hist1d"} {
+		mapped, err := MapSynopsisFile(binPaths[name])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := mapped.MappedBytes(); got != 0 {
-			t.Errorf("%s (json): MappedBytes = %d, want 0", name, got)
+			t.Errorf("%s: MappedBytes = %d, want 0", name, got)
 		}
 	}
 }
 
 // TestMappedSATBacked: mapped UG/AG views and all-SAT sharded mosaics
-// report the fast path; JSON loads (rebuilt prefixes, no stored SAT) do
-// not need to — but must answer identically regardless (covered above).
+// report the fast path.
 func TestMappedSATBacked(t *testing.T) {
-	binPaths := writeMappedTestFiles(t, FormatBinary)
+	binPaths := writeMappedTestFiles(t)
 	for _, name := range []string{"ug", "ag", "sharded"} {
 		mapped, err := MapSynopsisFile(binPaths[name])
 		if err != nil {
@@ -143,14 +136,14 @@ func TestMappedSATBacked(t *testing.T) {
 // explanatory message instead of faulting on unmapped memory. Close is
 // idempotent.
 func TestMappedSynopsisClose(t *testing.T) {
-	path := writeMappedTestFiles(t, FormatBinary)["ug"]
+	path := writeMappedTestFiles(t)["ug"]
 	mapped, err := MapSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := mappedTestRects[0]
 	before := mapped.Query(r)
-	if _, _, err := mapped.QueryStatsCtx(t.Context(), r); err != nil {
+	if _, _, err := mapped.QueryStatsCtx(context.Background(), r); err != nil {
 		t.Fatalf("QueryStatsCtx before Close: %v", err)
 	}
 	if err := mapped.Close(); err != nil {
@@ -159,7 +152,7 @@ func TestMappedSynopsisClose(t *testing.T) {
 	if err := mapped.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, _, err := mapped.QueryStatsCtx(t.Context(), r); err != ErrSynopsisClosed {
+	if _, _, err := mapped.QueryStatsCtx(context.Background(), r); err != ErrSynopsisClosed {
 		t.Fatalf("QueryStatsCtx after Close: err = %v, want ErrSynopsisClosed", err)
 	}
 	mustPanic := func(name string, f func()) {
@@ -171,7 +164,9 @@ func TestMappedSynopsisClose(t *testing.T) {
 		f()
 	}
 	mustPanic("Query", func() { mapped.Query(r) })
-	mustPanic("QueryBatch", func() { mapped.QueryBatch(mappedTestRects) })
+	// QueryBatch checks on the calling goroutine, before any pool
+	// worker starts, so the panic is recoverable here.
+	mustPanic("QueryBatch", func() { QueryBatch(mapped, mappedTestRects, 4) })
 	mustPanic("QueryStats", func() { mapped.QueryStats(r) })
 	_ = before
 }
@@ -181,7 +176,7 @@ func TestMappedSynopsisClose(t *testing.T) {
 // must be clean under -race, and every answer must match a fresh
 // single-threaded load.
 func TestMappedShardedConcurrentMaterialization(t *testing.T) {
-	path := writeMappedTestFiles(t, FormatBinary)["sharded"]
+	path := writeMappedTestFiles(t)["sharded"]
 	mapped, err := MapSynopsisFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +224,7 @@ func TestMappedShardedConcurrentMaterialization(t *testing.T) {
 // load — before any query can touch a partially mapped structure — and
 // a missing file surfaces the open error.
 func TestMapSynopsisFileRejectsCorrupt(t *testing.T) {
-	for name, path := range writeMappedTestFiles(t, FormatBinary) {
+	for name, path := range writeMappedTestFiles(t) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -7,44 +7,26 @@ import (
 
 	"github.com/dpgrid/dpgrid/internal/atomicfile"
 	"github.com/dpgrid/dpgrid/internal/codec"
-	"github.com/dpgrid/dpgrid/internal/core"
 )
 
-// Synopsis files come in two on-disk encodings carrying the same
-// release (cell boundaries and noisy counts, the paper's definition —
-// so either file costs no privacy beyond the epsilon already spent):
+// Synopsis files hold the release (cell boundaries and noisy counts,
+// the paper's definition — so a file costs no privacy beyond the
+// epsilon already spent) in one encoding: the "dpgridv2" container —
+// little-endian, length-prefixed float64 sections, and for sharded
+// manifests a per-shard offset table that enables lazy shard loading.
+// See docs/FORMAT.md.
 //
-//   - FormatJSON: the original human-readable versioned JSON.
-//   - FormatBinary: the compact "dpgridv2" container — little-endian,
-//     length-prefixed float64 sections, and for sharded manifests a
-//     per-shard offset table that enables lazy shard loading.
-//
-// ReadSynopsis sniffs the encoding from the leading bytes (binary files
-// start with the "dpgridv2" magic, JSON files with '{'), so readers
-// never need to be told which they were given.
-const (
-	FormatJSON   = "json"
-	FormatBinary = "binary"
-)
+// FormatBinary names that encoding; it is the only value the CLI's
+// -format flag accepts. JSON synopsis files, which earlier releases
+// wrote, are rejected by every reader with an error naming the
+// conversion.
+const FormatBinary = "binary"
 
-// WriteSynopsis serializes a released synopsis (any kind in the
+// WriteSynopsisBinary serializes a released synopsis (any kind in the
 // registry: UniformGrid, AdaptiveGrid, Hierarchy, KDTree, Privlet,
-// Sharded, or LazySharded) as versioned JSON. A Sharded release
-// serializes as a manifest embedding one per-shard payload per tile.
-// For the compact binary encoding use WriteSynopsisBinary.
-func WriteSynopsis(w io.Writer, s Synopsis) error {
-	wt, ok := s.(io.WriterTo)
-	if !ok {
-		return fmt.Errorf("dpgrid: cannot serialize %T (no JSON encoding; every released synopsis type has one)", s)
-	}
-	_, err := wt.WriteTo(w)
-	return err
-}
-
-// WriteSynopsisBinary serializes a released synopsis as a dpgridv2
-// binary container: a fraction of the JSON size, decoded by copying
-// rather than parsing, and — for sharded manifests — loadable shard by
-// shard (see ReadSynopsisLazy).
+// Hist1D, Sharded, or LazySharded) as a dpgridv2 container: decoded by
+// copying rather than parsing, and — for sharded manifests — loadable
+// shard by shard (see ReadSynopsisLazy).
 func WriteSynopsisBinary(w io.Writer, s Synopsis) error {
 	ba, ok := s.(interface {
 		AppendBinary(dst []byte) ([]byte, error)
@@ -71,69 +53,36 @@ func SynopsisKind(s Synopsis) string {
 		return ""
 	}
 	name := k.ContainerKind().String()
-	if sf, ok := s.(interface{ ShardFormat() string }); ok {
-		if reg, ok := codec.LookupJSONFormat(sf.ShardFormat()); ok {
-			name += "(" + reg.Name + ")"
-		}
+	if sk, ok := s.(interface{ ShardKind() codec.Kind }); ok {
+		name += "(" + sk.ShardKind().String() + ")"
 	}
 	return name
 }
 
-// WriteSynopsisFormat serializes s in the named format (FormatJSON or
-// FormatBinary) — the programmatic face of the CLI -format flag.
-func WriteSynopsisFormat(w io.Writer, s Synopsis, format string) error {
-	switch format {
-	case FormatJSON:
-		return WriteSynopsis(w, s)
-	case FormatBinary:
-		return WriteSynopsisBinary(w, s)
-	default:
-		return fmt.Errorf("dpgrid: unknown synopsis file format %q (want %q or %q)", format, FormatJSON, FormatBinary)
-	}
-}
-
-// ReadSynopsis deserializes a synopsis written by WriteSynopsis or
-// WriteSynopsisBinary, sniffing the encoding from the leading bytes and
+// ReadSynopsis deserializes a synopsis written by WriteSynopsisBinary,
 // validating the file's structure. Sharded manifests are materialized
 // eagerly; serving paths that want decode-on-first-touch should use
 // ReadSynopsisLazy.
 func ReadSynopsis(r io.Reader) (Synopsis, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
-	}
-	if codec.Detect(data) {
-		return readSynopsisBinary(data, false)
-	}
-	return readSynopsisJSON(data)
+	return readSynopsis(r, false)
 }
 
-// ReadSynopsisLazy is ReadSynopsis except that a binary sharded
-// manifest loads as a *LazySharded: every shard payload is validated up
-// front, but a shard's query structure is decoded only when a query
-// first touches its tile. Monolithic synopses and JSON files (which
-// lack the offset table lazy loading needs) load eagerly as usual.
+// ReadSynopsisLazy is ReadSynopsis except that a sharded manifest loads
+// as a *LazySharded: every shard payload is validated up front, but a
+// shard's query structure is decoded only when a query first touches
+// its tile. Monolithic synopses load eagerly as usual.
 func ReadSynopsisLazy(r io.Reader) (Synopsis, error) {
+	return readSynopsis(r, true)
+}
+
+func readSynopsis(r io.Reader, lazy bool) (Synopsis, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("dpgrid: read synopsis: %w", err)
 	}
-	if codec.Detect(data) {
-		return readSynopsisBinary(data, true)
-	}
-	return readSynopsisJSON(data)
-}
-
-func readSynopsisBinary(data []byte, lazy bool) (Synopsis, error) {
-	_, kind, err := codec.NewDec(data)
+	reg, err := lookupContainer(data)
 	if err != nil {
-		return nil, fmt.Errorf("dpgrid: %w", err)
-	}
-	// NewDec already rejected unregistered kinds (with the corrupt-vs-
-	// newer-writer distinction), so the lookup cannot miss here.
-	reg, ok := codec.Lookup(kind)
-	if !ok {
-		return nil, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
+		return nil, err
 	}
 	if lazy && reg.DecodeBinaryLazy != nil {
 		return reg.DecodeBinaryLazy(data)
@@ -141,58 +90,45 @@ func readSynopsisBinary(data []byte, lazy bool) (Synopsis, error) {
 	return reg.DecodeBinary(data)
 }
 
-func readSynopsisJSON(data []byte) (Synopsis, error) {
-	env, err := core.ReadEnvelope(data)
+// lookupContainer validates data's container header and returns the
+// registration of the kind it holds. A JSON document gets
+// codec.ErrJSONRetired, which names the conversion.
+func lookupContainer(data []byte) (codec.Registration, error) {
+	_, kind, err := codec.NewDec(data)
 	if err != nil {
-		return nil, fmt.Errorf("dpgrid: %w", err)
+		return codec.Registration{}, fmt.Errorf("dpgrid: %w", err)
 	}
-	reg, ok := codec.LookupJSONFormat(env.Format)
+	// NewDec already rejected unregistered kinds (with the corrupt-vs-
+	// newer-writer distinction), so the lookup cannot miss here.
+	reg, ok := codec.Lookup(kind)
 	if !ok {
-		return nil, fmt.Errorf("dpgrid: unknown synopsis format %q", env.Format)
+		return codec.Registration{}, fmt.Errorf("dpgrid: unknown synopsis kind %v", kind)
 	}
-	return reg.DecodeJSON(data)
+	return reg, nil
 }
 
-// WriteSynopsisFile writes s to path with WriteSynopsis (JSON). The
+// WriteSynopsisFile writes s to path with WriteSynopsisBinary. The
 // write is atomic — it goes to a temporary file in the same directory
 // that is renamed over path only on success — so a failure (disk full,
 // encode error) never destroys an existing synopsis file a server may
 // be loading from. A fresh file gets the umask-governed default mode
 // (as os.Create would); overwriting preserves the existing file's mode.
 func WriteSynopsisFile(path string, s Synopsis) error {
-	return WriteSynopsisFileFormat(path, s, FormatJSON)
-}
-
-// WriteSynopsisFileFormat is WriteSynopsisFile with an explicit
-// encoding (FormatJSON or FormatBinary), with the same atomicity
-// guarantees.
-func WriteSynopsisFileFormat(path string, s Synopsis, format string) error {
-	// Validate the format before touching the filesystem so a bad flag
-	// value cannot leave staging files behind.
-	if format != FormatJSON && format != FormatBinary {
-		return fmt.Errorf("dpgrid: unknown synopsis file format %q (want %q or %q)", format, FormatJSON, FormatBinary)
-	}
-	return writeFileAtomic(path, func(w io.Writer) error {
-		return WriteSynopsisFormat(w, s, format)
+	// The staging-and-rename mechanics live in internal/atomicfile so
+	// the CLIs and internal tools share the same discipline.
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return WriteSynopsisBinary(w, s)
 	})
 }
 
-// writeFileAtomic streams encode's output to a temporary file next to
-// path and renames it over path only after a successful encode and
-// fsync. The mechanics live in internal/atomicfile so the CLIs and
-// internal tools share the same staging-and-rename discipline.
-func writeFileAtomic(path string, encode func(io.Writer) error) error {
-	return atomicfile.Write(path, encode)
-}
-
 // ReadSynopsisFile reads a synopsis previously written by
-// WriteSynopsisFile (or WriteSynopsis) from path, in either encoding.
+// WriteSynopsisFile (or WriteSynopsisBinary) from path.
 func ReadSynopsisFile(path string) (Synopsis, error) {
 	return readSynopsisFile(path, ReadSynopsis)
 }
 
 // ReadSynopsisFileLazy is ReadSynopsisFile with lazy shard loading for
-// binary sharded manifests (see ReadSynopsisLazy).
+// sharded manifests (see ReadSynopsisLazy).
 func ReadSynopsisFileLazy(path string) (Synopsis, error) {
 	return readSynopsisFile(path, ReadSynopsisLazy)
 }

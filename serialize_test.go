@@ -2,6 +2,8 @@ package dpgrid
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -20,7 +22,7 @@ func TestWriteReadSynopsisUG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSynopsis(&buf, orig); err != nil {
+	if err := WriteSynopsisBinary(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSynopsis(&buf)
@@ -45,7 +47,7 @@ func TestWriteReadSynopsisAG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSynopsis(&buf, orig); err != nil {
+	if err := WriteSynopsisBinary(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSynopsis(&buf)
@@ -71,9 +73,6 @@ func (stubSynopsis) Query(Rect) float64 { return 0 }
 
 func TestWriteSynopsisUnsupportedType(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSynopsis(&buf, stubSynopsis{}); err == nil {
-		t.Error("JSON serialization of an unregistered synopsis should fail")
-	}
 	if err := WriteSynopsisBinary(&buf, stubSynopsis{}); err == nil {
 		t.Error("binary serialization of an unregistered synopsis should fail")
 	}
@@ -91,6 +90,43 @@ func TestReadSynopsisGarbage(t *testing.T) {
 	}
 }
 
+// jsonEraSynopsis is a UG file in the JSON encoding earlier releases
+// wrote.
+const jsonEraSynopsis = `{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[3]}`
+
+// TestReadersRejectJSONSynopsis: every public reader turns a JSON-era
+// file away with the one retirement error — which names the conversion
+// command — and none of them panics or loads it.
+func TestReadersRejectJSONSynopsis(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(jsonEraSynopsis), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() (Synopsis, error){
+		"ReadSynopsis":         func() (Synopsis, error) { return ReadSynopsis(strings.NewReader(jsonEraSynopsis)) },
+		"ReadSynopsisLazy":     func() (Synopsis, error) { return ReadSynopsisLazy(strings.NewReader(jsonEraSynopsis)) },
+		"ReadSynopsisFile":     func() (Synopsis, error) { return ReadSynopsisFile(path) },
+		"ReadSynopsisFileLazy": func() (Synopsis, error) { return ReadSynopsisFileLazy(path) },
+		"MapSynopsisFile": func() (Synopsis, error) {
+			m, err := MapSynopsisFile(path)
+			if m == nil {
+				return nil, err // keep a typed nil out of the interface
+			}
+			return m, err
+		},
+	}
+	for name, read := range readers {
+		syn, err := read()
+		if syn != nil || !errors.Is(err, codec.ErrJSONRetired) {
+			t.Errorf("%s: got (%v, %v), want the JSON retirement error", name, syn, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-format binary") {
+			t.Errorf("%s: error %q does not name the conversion", name, err)
+		}
+	}
+}
+
 func TestWriteReadSynopsisSharded(t *testing.T) {
 	dom, _ := NewDomain(0, 0, 50, 50)
 	plan, err := NewShardPlan(dom, 2, 2)
@@ -103,7 +139,7 @@ func TestWriteReadSynopsisSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSynopsis(&buf, orig); err != nil {
+	if err := WriteSynopsisBinary(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSynopsis(&buf)
@@ -135,9 +171,12 @@ func TestShardedSynopsisFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "mosaic.json")
+	path := filepath.Join(t.TempDir(), "mosaic.dpgrid")
 	if err := WriteSynopsisFile(path, orig); err != nil {
 		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !codec.Detect(data) {
+		t.Fatalf("WriteSynopsisFile did not write a dpgridv2 container (err %v)", err)
 	}
 	loaded, err := ReadSynopsisFile(path)
 	if err != nil {
@@ -199,22 +238,9 @@ func validSynopses(t interface{ Fatal(...any) }) map[string]Synopsis {
 	}
 }
 
-// validSynopsisFiles serializes one release of each kind as JSON.
+// validSynopsisFiles serializes one release of each kind as a dpgridv2
+// container.
 func validSynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
-	out := make(map[string][]byte)
-	for name, s := range validSynopses(t) {
-		var buf bytes.Buffer
-		if err := WriteSynopsis(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		out[name] = buf.Bytes()
-	}
-	return out
-}
-
-// validBinarySynopsisFiles serializes one release of each kind as a
-// dpgridv2 container.
-func validBinarySynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
 	out := make(map[string][]byte)
 	for name, s := range validSynopses(t) {
 		var buf bytes.Buffer
@@ -226,10 +252,93 @@ func validBinarySynopsisFiles(t interface{ Fatal(...any) }) map[string][]byte {
 	return out
 }
 
+// container hand-assembles a dpgridv2 file of the given kind, so tests
+// can plant field values no encoder would emit.
+func container(kind codec.Kind, body func(e *codec.Enc)) []byte {
+	e := codec.NewEnc(nil, kind)
+	body(e)
+	return e.Bytes()
+}
+
+// f64s appends each value as a bare float64 field.
+func f64s(e *codec.Enc, vs ...float64) {
+	for _, v := range vs {
+		e.F64(v)
+	}
+}
+
+// rawUG is a UG container: domain, epsilon, m, mx, my, counts.
+func rawUG(dom [4]float64, eps float64, m, mx, my uint32, counts ...float64) []byte {
+	return container(codec.KindUniform, func(e *codec.Enc) {
+		f64s(e, dom[:]...)
+		e.F64(eps)
+		e.U32(m)
+		e.U32(mx)
+		e.U32(my)
+		e.F64s(counts)
+	})
+}
+
+// rawAGCell is one AG cell: m2 and its prefix-sum table.
+type rawAGCell struct {
+	m2   uint32
+	sums []float64
+}
+
+// rawAG is an AG container: domain, epsilon, alpha, m1, cells.
+func rawAG(eps, alpha float64, m1 uint32, cells ...rawAGCell) []byte {
+	return container(codec.KindAdaptive, func(e *codec.Enc) {
+		f64s(e, 0, 0, 1, 1)
+		e.F64(eps)
+		e.F64(alpha)
+		e.U32(m1)
+		for _, c := range cells {
+			e.U32(c.m2)
+			e.F64s(c.sums)
+		}
+	})
+}
+
+// rawManifest is a sharded manifest over [0,1]^2 with UG tiles whose
+// payloads are concatenated into the blob.
+func rawManifest(kx, ky uint32, payloads ...[]byte) []byte {
+	return container(codec.KindSharded, func(e *codec.Enc) {
+		f64s(e, 0, 0, 1, 1)
+		e.F64(1)
+		e.U32(kx)
+		e.U32(ky)
+		e.U16(uint16(codec.KindUniform))
+		e.U64(uint64(len(payloads)))
+		var blob []byte
+		for _, p := range payloads {
+			e.U64(uint64(len(blob)))
+			e.U64(uint64(len(p)))
+			blob = append(blob, p...)
+		}
+		e.U64(uint64(len(blob)))
+		e.Raw(blob)
+	})
+}
+
+// rawHist1D is a hist1d container: lo, hi, epsilon, bins, prefix.
+func rawHist1D(lo, hi, eps float64, bins uint32, prefix ...float64) []byte {
+	return container(codec.KindHist1D, func(e *codec.Enc) {
+		f64s(e, lo, hi, eps)
+		e.U32(bins)
+		e.F64s(prefix)
+	})
+}
+
 // TestReadSynopsisRejectsCorrupt: corrupt or truncated synopsis files
 // must return errors through ReadSynopsis — never panic, never load.
 func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	valid := validSynopsisFiles(t)
+	unit := [4]float64{0, 0, 1, 1}
+	zeros := func(n int) []float64 { return make([]float64, n) }
+	ugBadVersion := rawUG(unit, 1, 1, 1, 1, 0)
+	binary.LittleEndian.PutUint16(ugBadVersion[len(codec.Magic):], 99)
+	// Truncations here drop the final float (a short last section); the
+	// "binary <kind> truncated" cases below cut each file in half.
 	cases := []struct {
 		name string
 		data []byte
@@ -237,37 +346,56 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 		{"empty", nil},
 		{"garbage", []byte("junk")},
 		{"empty object", []byte(`{}`)},
-		{"unknown format", []byte(`{"format":"dpgrid/who-knows","version":1}`)},
-		{"ug truncated", valid["ug"][:len(valid["ug"])/2]},
-		{"ag truncated", valid["ag"][:len(valid["ag"])*2/3]},
-		{"sharded truncated", valid["sharded"][:len(valid["sharded"])/2]},
-		{"hierarchy truncated", valid["hierarchy"][:len(valid["hierarchy"])/2]},
-		{"kdtree truncated", valid["kdtree"][:len(valid["kdtree"])/2]},
-		{"privlet truncated", valid["privlet"][:len(valid["privlet"])/2]},
-		{"hierarchy indivisible shape", []byte(`{"format":"dpgrid/hierarchy","version":1,"domain":[0,0,1,1],"epsilon":1,"grid_size":3,"branching":2,"depth":2,"sums":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`)},
-		{"privlet oversized grid", []byte(`{"format":"dpgrid/privlet","version":1,"domain":[0,0,1,1],"epsilon":1,"grid_size":99999,"sums":[0]}`)},
-		{"kdtree no nodes", []byte(`{"format":"dpgrid/kdtree","version":1,"domain":[0,0,1,1],"epsilon":1,"method":0,"depth":1,"nodes":[],"estimates":[]}`)},
-		{"ug bad version", []byte(`{"format":"dpgrid/uniform-grid","version":99,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[0]}`)},
-		{"ug counts mismatch", []byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":2,"counts":[0,0,0]}`)},
-		{"ug non-finite count", []byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[1e999]}`)},
-		{"ug bad domain", []byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[5,0,0,1],"epsilon":1,"m":1,"counts":[0]}`)},
-		{"ug bad epsilon", []byte(`{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":0,"m":1,"counts":[0]}`)},
-		{"ag cells mismatch", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":2,"cells":[{"m2":1,"leaves":[0]}]}`)},
-		{"ag leaves mismatch", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":0.5,"m1":1,"cells":[{"m2":2,"leaves":[0]}]}`)},
-		{"ag bad alpha", []byte(`{"format":"dpgrid/adaptive-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"alpha":1.5,"m1":1,"cells":[{"m2":1,"leaves":[0]}]}`)},
-		{"sharded payload mismatch", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":2,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[]}`)},
-		{"sharded bad payload", []byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"x":1}]}`)},
-		{"hist1d truncated", valid["hist1d"][:len(valid["hist1d"])/2]},
-		{"hist1d bad range", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[5,5],"epsilon":1,"bins":1,"prefix":[0,1]}`)},
-		{"hist1d bad epsilon", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":0,"bins":1,"prefix":[0,1]}`)},
-		{"hist1d prefix mismatch", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":2,"prefix":[0,1]}`)},
-		{"hist1d nonzero prefix start", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":1,"prefix":[2,3]}`)},
-		{"hist1d non-finite prefix", []byte(`{"format":"dpgrid/hist1d","version":1,"range":[0,1],"epsilon":1,"bins":1,"prefix":[0,1e999]}`)},
+		{"unknown format", container(codec.Kind(0xEE), func(*codec.Enc) {})},
+		{"ug truncated", valid["ug"][:len(valid["ug"])-8]},
+		{"ag truncated", valid["ag"][:len(valid["ag"])-8]},
+		{"sharded truncated", valid["sharded"][:len(valid["sharded"])-8]},
+		{"hierarchy truncated", valid["hierarchy"][:len(valid["hierarchy"])-8]},
+		{"kdtree truncated", valid["kdtree"][:len(valid["kdtree"])-8]},
+		{"privlet truncated", valid["privlet"][:len(valid["privlet"])-8]},
+		{"hierarchy indivisible shape", container(codec.KindHierarchy, func(e *codec.Enc) {
+			f64s(e, unit[:]...)
+			e.F64(1)
+			e.U32(3) // grid size
+			e.U32(2) // branching
+			e.U32(2) // depth
+			e.F64s(zeros(16))
+		})},
+		{"privlet oversized grid", container(codec.KindPrivlet, func(e *codec.Enc) {
+			f64s(e, unit[:]...)
+			e.F64(1)
+			e.U32(99999)
+			e.F64s(zeros(1))
+		})},
+		{"kdtree no nodes", container(codec.KindKDTree, func(e *codec.Enc) {
+			f64s(e, unit[:]...)
+			e.F64(1)
+			e.U16(0) // method
+			e.U16(0) // used CI
+			e.U32(1) // depth
+			e.U32(0) // leaves
+			e.U64(0) // node count
+			e.F64s(nil)
+		})},
+		{"ug bad version", ugBadVersion},
+		{"ug counts mismatch", rawUG(unit, 1, 2, 2, 2, 0, 0, 0)},
+		{"ug non-finite count", rawUG(unit, 1, 1, 1, 1, math.Inf(1))},
+		{"ug bad domain", rawUG([4]float64{5, 0, 0, 1}, 1, 1, 1, 1, 0)},
+		{"ug bad epsilon", rawUG(unit, 0, 1, 1, 1, 0)},
+		{"ag cells mismatch", rawAG(1, 0.5, 2, rawAGCell{1, zeros(4)})},
+		{"ag leaves mismatch", rawAG(1, 0.5, 1, rawAGCell{2, zeros(4)})},
+		{"ag bad alpha", rawAG(1, 1.5, 1, rawAGCell{1, zeros(4)})},
+		{"sharded payload mismatch", rawManifest(2, 1)},
+		{"sharded bad payload", rawManifest(1, 1, []byte("x"))},
+		{"hist1d truncated", valid["hist1d"][:len(valid["hist1d"])-8]},
+		{"hist1d bad range", rawHist1D(5, 5, 1, 1, 0, 1)},
+		{"hist1d bad epsilon", rawHist1D(0, 1, 0, 1, 0, 1)},
+		{"hist1d prefix mismatch", rawHist1D(0, 1, 1, 2, 0, 1)},
+		{"hist1d nonzero prefix start", rawHist1D(0, 1, 1, 1, 2, 3)},
+		{"hist1d non-finite prefix", rawHist1D(0, 1, 1, 1, 0, math.Inf(1))},
 	}
-	// Binary-container corruption goes through the same entry point.
-	validBin := validBinarySynopsisFiles(t)
 	corruptBin := map[string][]byte{"binary bare magic": []byte("dpgridv2")}
-	for name, data := range validBin {
+	for name, data := range valid {
 		corruptBin["binary "+name+" truncated"] = data[:len(data)/2]
 		corruptBin["binary "+name+" trailing bytes"] = append(bytes.Clone(data), 0)
 	}
@@ -280,38 +408,45 @@ func TestReadSynopsisRejectsCorrupt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadSynopsis(bytes.NewReader(tc.data)); err == nil {
-				t.Errorf("corrupt input accepted: %.80s", tc.data)
+				t.Errorf("corrupt input accepted: %q", tc.data)
 			}
 			if _, err := ReadSynopsisLazy(bytes.NewReader(tc.data)); err == nil {
-				t.Errorf("corrupt input accepted lazily: %.80s", tc.data)
+				t.Errorf("corrupt input accepted lazily: %q", tc.data)
 			}
 		})
 	}
-	// Sanity: the valid files all load, in both encodings.
+	// Sanity: the valid files all load, and the hand-assembled shapes
+	// are right — fixing each planted fault yields a loadable file.
 	for name, data := range valid {
 		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
 			t.Errorf("valid %s file rejected: %v", name, err)
 		}
 	}
-	for name, data := range validBin {
+	for name, data := range map[string][]byte{
+		"ug":      rawUG(unit, 1, 1, 1, 1, 0),
+		"ag":      rawAG(1, 0.5, 1, rawAGCell{1, zeros(4)}),
+		"sharded": rawManifest(1, 1, rawUG(unit, 1, 1, 1, 1, 0)),
+		"hist1d":  rawHist1D(0, 1, 1, 1, 0, 1),
+	} {
 		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
-			t.Errorf("valid binary %s file rejected: %v", name, err)
+			t.Errorf("hand-assembled valid %s file rejected: %v", name, err)
 		}
 	}
 }
 
 // FuzzReadSynopsis: the public deserialization entry point must never
 // panic and must either return a queryable synopsis or an error, no
-// matter the bytes. The seed corpus covers every format in both
-// encodings, plus truncated and bit-flipped variants of the dpgridv2
-// containers and hand-corrupted JSON.
+// matter the bytes. The seed corpus covers every kind, plus truncated,
+// bit-flipped, kind-swapped and over-long variants of each container,
+// and JSON-era documents.
 func FuzzReadSynopsis(f *testing.F) {
-	valid := validSynopsisFiles(f)
-	for _, data := range valid {
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-	}
-	for _, data := range validBinarySynopsisFiles(f) {
+	for _, data := range validSynopsisFiles(f) {
+		// The body under the neighbouring kind's header: one kind's
+		// decoder fed another kind's layout.
+		swapped := bytes.Clone(data)
+		swapped[len(codec.Magic)+2]++
+		f.Add(swapped)
+		f.Add(append(bytes.Clone(data), data...))
 		f.Add(data)
 		f.Add(data[:len(data)/3])
 		f.Add(data[:len(data)-1])
@@ -324,7 +459,7 @@ func FuzzReadSynopsis(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"format":"dpgrid/sharded","version":1}`))
-	f.Add([]byte(`{"format":"dpgrid/sharded","version":1,"domain":[0,0,1,1],"epsilon":1,"kx":1,"ky":1,"shard_format":"dpgrid/uniform-grid","shards":[{"format":"dpgrid/uniform-grid","version":1,"domain":[0,0,1,1],"epsilon":1,"m":1,"counts":[3]}]}`))
+	f.Add([]byte(jsonEraSynopsis))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte("dpgridv2"))
 
@@ -379,8 +514,7 @@ func TestWriteReadSynopsisBinary(t *testing.T) {
 }
 
 // TestReadSynopsisLazySharded: the lazy entry point returns a
-// *LazySharded for binary manifests, which serializes back to both
-// encodings.
+// *LazySharded for sharded manifests, which re-encodes verbatim.
 func TestReadSynopsisLazySharded(t *testing.T) {
 	sh := validSynopses(t)["sharded"]
 	var buf bytes.Buffer
@@ -406,14 +540,7 @@ func TestReadSynopsisLazySharded(t *testing.T) {
 	if !bytes.Equal(bin.Bytes(), data) {
 		t.Error("lazy re-encode changed bytes")
 	}
-	var asJSON bytes.Buffer
-	if err := WriteSynopsis(&asJSON, lazy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSynopsis(&asJSON); err != nil {
-		t.Fatalf("JSON written from a lazy release does not load: %v", err)
-	}
-	// JSON and monolithic binary files fall back to eager types.
+	// Monolithic files fall back to eager types.
 	var ugBin bytes.Buffer
 	if err := WriteSynopsisBinary(&ugBin, validSynopses(t)["ug"]); err != nil {
 		t.Fatal(err)
@@ -427,50 +554,20 @@ func TestReadSynopsisLazySharded(t *testing.T) {
 	}
 }
 
-// TestBinaryManifestSmallerThanJSON: at matched cell counts (the same
-// release encoded both ways) the binary manifest must be substantially
-// smaller.
-func TestBinaryManifestSmallerThanJSON(t *testing.T) {
-	dom, _ := NewDomain(0, 0, 50, 50)
-	plan, err := NewShardPlan(dom, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := examplePoints(55, 20000, dom)
-	sh, err := BuildShardedAdaptiveGrid(pts, plan, 1, AGOptions{M1: 4}, ShardOptions{}, NewNoiseSource(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf, binBuf bytes.Buffer
-	if err := WriteSynopsis(&jsonBuf, sh); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSynopsisBinary(&binBuf, sh); err != nil {
-		t.Fatal(err)
-	}
-	if binBuf.Len() >= jsonBuf.Len() {
-		t.Fatalf("binary manifest %d bytes >= JSON %d bytes", binBuf.Len(), jsonBuf.Len())
-	}
-	t.Logf("sharded manifest: JSON %d bytes, binary %d bytes (%.1fx smaller)",
-		jsonBuf.Len(), binBuf.Len(), float64(jsonBuf.Len())/float64(binBuf.Len()))
-}
-
 // update regenerates the golden files under testdata; run
 // `go test -run TestGoldenFiles -update .` after an intentional format
 // change and commit the result.
 var update = flag.Bool("update", false, "rewrite golden synopsis files")
 
-// TestGoldenFiles pins the on-disk formats: the committed files must
-// load, answer consistently across encodings, and — for the binary
-// containers — re-encode bit-identically. A format change that breaks
-// files already in the field fails here first.
+// TestGoldenFiles pins the on-disk format: each committed container
+// must load, answer like a fresh build of the same release, and
+// re-encode bit-identically. A format change that breaks files already
+// in the field fails here first.
 func TestGoldenFiles(t *testing.T) {
+	fresh := validSynopses(t)
 	if *update {
-		for name, s := range validSynopses(t) {
-			if err := WriteSynopsisFileFormat(filepath.Join("testdata", "golden."+name+".json"), s, FormatJSON); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteSynopsisFileFormat(filepath.Join("testdata", "golden."+name+".dpgrid"), s, FormatBinary); err != nil {
+		for name, s := range fresh {
+			if err := WriteSynopsisFile(filepath.Join("testdata", "golden."+name+".dpgrid"), s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -481,49 +578,35 @@ func TestGoldenFiles(t *testing.T) {
 		NewRect(9, 9, 11, 11),
 	}
 	for _, name := range []string{"ug", "ag", "sharded", "hierarchy", "kdtree", "privlet", "hist1d"} {
-		binPath := filepath.Join("testdata", "golden."+name+".dpgrid")
-		fromJSON, err := ReadSynopsisFile(filepath.Join("testdata", "golden."+name+".json"))
+		path := filepath.Join("testdata", "golden."+name+".dpgrid")
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadSynopsis(bytes.NewReader(golden))
 		if err != nil {
 			t.Fatalf("%s: %v (run `go test -run TestGoldenFiles -update .` if the format changed intentionally)", name, err)
 		}
-		fromBin, err := ReadSynopsisFile(binPath)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		for _, r := range queries {
-			a, b := fromJSON.Query(r), fromBin.Query(r)
+			a, b := fresh[name].Query(r), loaded.Query(r)
 			if diff := a - b; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%s: Query(%v): JSON %g, binary %g", name, r, a, b)
+				t.Errorf("%s: Query(%v): fresh build %g, golden file %g", name, r, a, b)
 			}
 		}
-		golden, err := os.ReadFile(binPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var again bytes.Buffer
-		if err := WriteSynopsisBinary(&again, fromBin); err != nil {
+		if err := WriteSynopsisBinary(&again, loaded); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(golden, again.Bytes()) {
-			t.Errorf("%s: re-encoding the golden binary file changed bytes", name)
+			t.Errorf("%s: re-encoding the golden file changed bytes", name)
 		}
 	}
 }
 
 // TestRegistryKindsRoundTrip asserts the kind-registry contract for
-// every registered kind at once: the binary container round-trips
-// bit-identically, SynopsisKind survives the trip, and the JSON
-// document round-trips byte-identically for every kind whose encoder
-// persists exactly what its decoder reads. AG (and AG-backed sharded
-// releases) are the exception by design: their JSON stores per-cell
-// leaves and recomputes block sums on load, so floating-point
-// cancellation leaves the re-encoded document answer-identical but not
-// byte-identical.
+// every registered kind at once: the container round-trips
+// bit-identically and SynopsisKind survives the trip.
 func TestRegistryKindsRoundTrip(t *testing.T) {
-	byteIdenticalJSON := map[string]bool{
-		"ug": true, "hierarchy": true, "kdtree": true, "privlet": true,
-		"hist1d": true,
-	}
 	for name, s := range validSynopses(t) {
 		t.Run(name, func(t *testing.T) {
 			kind := SynopsisKind(s)
@@ -549,38 +632,13 @@ func TestRegistryKindsRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, again.Bytes()) {
 				t.Errorf("binary round trip not bit-identical (%d -> %d bytes)", len(data), again.Len())
 			}
-
-			var js bytes.Buffer
-			if err := WriteSynopsis(&js, s); err != nil {
-				t.Fatal(err)
-			}
-			jdata := bytes.Clone(js.Bytes())
-			jloaded, err := ReadSynopsis(&js)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var jagain bytes.Buffer
-			if err := WriteSynopsis(&jagain, jloaded); err != nil {
-				t.Fatal(err)
-			}
-			if byteIdenticalJSON[name] {
-				if !bytes.Equal(jdata, jagain.Bytes()) {
-					t.Error("JSON round trip not byte-identical")
-				}
-			} else {
-				r := NewRect(2, 3, 15, 14)
-				a, b := s.Query(r), jloaded.Query(r)
-				if diff := a - b; diff > 1e-9 || diff < -1e-9 {
-					t.Errorf("JSON round trip changed answer: %g vs %g", a, b)
-				}
-			}
 		})
 	}
 }
 
 // TestAssembleShardedNewKinds: every embeddable kind composes into a
-// sharded release through AssembleSharded and survives both encodings,
-// including the lazy binary path dpserve uses.
+// sharded release through AssembleSharded and survives a round trip,
+// including the lazy path dpserve uses.
 func TestAssembleShardedNewKinds(t *testing.T) {
 	dom, err := NewDomain(0, 0, 20, 20)
 	if err != nil {
@@ -651,18 +709,6 @@ func TestAssembleShardedNewKinds(t *testing.T) {
 			}
 			if got := lazy.Query(r); got != want {
 				t.Errorf("lazy answer %g != eager %g", got, want)
-			}
-
-			var js bytes.Buffer
-			if err := WriteSynopsis(&js, sh); err != nil {
-				t.Fatal(err)
-			}
-			jloaded, err := ReadSynopsis(&js)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := jloaded.Query(r); got != want {
-				t.Errorf("JSON round trip changed answer: %g vs %g", got, want)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ func NewShardPlan(dom Domain, kx, ky int) (ShardPlan, error) {
 type ShardOptions = shard.Options
 
 // Sharded is a geo-sharded release: one per-tile synopsis per shard of
-// a ShardPlan. It implements Synopsis and BatchSynopsis; a query is
+// a ShardPlan. It implements Synopsis and ShardObserver; a query is
 // routed to only the overlapping shards, with fully-covered shards
 // short-circuiting through their TotalEstimate.
 type Sharded = shard.Sharded
@@ -54,28 +54,24 @@ type LazySharded = shard.Lazy
 // into its /metrics families.
 type ShardQueryStats = shard.QueryStats
 
-// ShardObserver is implemented by sharded releases (Sharded,
-// LazySharded) whose queries can report routing observations.
+// ShardObserver is implemented by releases whose queries can report
+// routing observations: Sharded, LazySharded, and MappedSynopsis.
 // QueryStats returns the same estimate as Query, bit for bit, plus the
 // per-query stats; serving layers type-assert this interface so
 // monolithic synopses (which have no fan-out to observe) skip the
 // instrumentation entirely.
+//
+// QueryStatsCtx is QueryStats whose fan-out honors context
+// cancellation: it checks ctx between shards and abandons the walk
+// with the context's error, so a serving layer whose client has gone
+// away (request timeout, dropped connection) stops burning CPU — and,
+// for lazy releases, stops materializing tiles — on wide mosaics. A
+// completed walk returns the same estimate as Query, bit for bit.
 type ShardObserver interface {
 	Synopsis
 	// QueryStats estimates the number of data points in r and reports
 	// the fan-out observations of the query.
 	QueryStats(r Rect) (float64, ShardQueryStats)
-}
-
-// ShardContextObserver is a ShardObserver whose fan-out honors context
-// cancellation: QueryStatsCtx checks ctx between shards and abandons
-// the walk with the context's error, so a serving layer whose client
-// has gone away (request timeout, dropped connection) stops burning
-// CPU — and, for lazy releases, stops materializing tiles — on wide
-// mosaics. Sharded and LazySharded implement it; a completed walk
-// returns the same estimate as Query, bit for bit.
-type ShardContextObserver interface {
-	ShardObserver
 	// QueryStatsCtx is QueryStats with between-shard cancellation.
 	QueryStatsCtx(ctx context.Context, r Rect) (float64, ShardQueryStats, error)
 }
@@ -135,8 +131,8 @@ func BuildShardedAdaptiveGridSeq(seq PointSeq, plan ShardPlan, eps float64, grid
 // exactly its plan tile under the release epsilon, and all tiles must
 // share one kind; parallel composition over the disjoint tiles then
 // makes the assembled release eps-differentially private as a whole.
-// The result serializes like any built release (WriteSynopsis,
-// WriteSynopsisBinary) and its manifests load lazily like any other.
+// The result serializes like any built release (WriteSynopsisBinary)
+// and its manifests load lazily like any other.
 func AssembleSharded(plan ShardPlan, eps float64, tiles []Synopsis) (*Sharded, error) {
 	st := make([]shard.Synopsis, len(tiles))
 	for i, t := range tiles {
